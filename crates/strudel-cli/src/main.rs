@@ -537,7 +537,10 @@ fn cmd_trace(target: &str, rest: &[String]) -> Result<(), AnyError> {
 }
 
 /// Fetches `path` from a traced server at `host`, then prints the span
-/// tree `/debug/traces` recorded for that request.
+/// tree `/debug/traces` recorded for that request. When the event loop
+/// answered it from a rendered response kept in the page cache, the tree
+/// holds only the serve phases; the page's most recent render still in
+/// the recent list follows it, to show how the page was computed.
 fn trace_via_server(host: &str, path: &str) -> Result<(), AnyError> {
     let page = http_get(host, path)?;
     let status = page
@@ -558,14 +561,37 @@ fn trace_via_server(host: &str, path: &str) -> Result<(), AnyError> {
         .and_then(|t| t.as_array())
         .ok_or("no traces array (is tracing enabled on the server?)")?;
     // Newest first; ours is the most recent trace for this path.
-    let trace = traces
+    let mut for_path = traces
         .iter()
-        .find(|t| t.get("path").and_then(|p| p.as_str()) == Some(path))
-        .ok_or_else(|| {
-            format!("no trace for {path} (sampled out, or evicted from the recent ring?)")
-        })?;
+        .filter(|t| t.get("path").and_then(|p| p.as_str()) == Some(path));
+    let trace = for_path.next().ok_or_else(|| {
+        format!("no trace for {path} (sampled out, or evicted from the recent ring?)")
+    })?;
     print_trace(trace);
+    if served_hit(trace) {
+        match for_path.find(|t| !served_hit(t)) {
+            Some(render) => {
+                println!("answered from the page cache; the page's last render:");
+                print_trace(render);
+            }
+            None => println!("answered from the page cache; its render is no longer recorded"),
+        }
+    }
     Ok(())
+}
+
+/// Whether a `/debug/traces` entry is a request the event loop answered
+/// from a rendered response kept in the page cache (`serve.handle` with
+/// `hit=1`).
+fn served_hit(trace: &strudel::obs::json::Value) -> bool {
+    let spans = trace.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]);
+    spans.iter().any(|s| {
+        s.get("name").and_then(|n| n.as_str()) == Some("serve.handle")
+            && s.get("attrs")
+                .and_then(|a| a.get("hit"))
+                .and_then(|h| h.as_f64())
+                == Some(1.0)
+    })
 }
 
 /// Renders one `/debug/traces` entry as an indented span tree plus the

@@ -19,9 +19,18 @@
 //! deletion, [`DynamicSite::invalidate`] drops exactly the cached clause
 //! results the change can affect, reusing the semi-naive dependency
 //! analysis of [`crate::incremental`].
+//!
+//! A page can also keep its *rendered* form in the cache:
+//! [`DynamicSite::render`] expands a page, renders the links through a
+//! caller's closure, and attaches the output to the page's clause entries;
+//! [`DynamicSite::rendered`] hands it back as long as every one of those
+//! entries is still the version it was rendered from. Each entry carries a
+//! version stamp, and removing any entry of a page (eviction, invalidation,
+//! replacement) drops the page's rendered bytes with it.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::incremental::{seed_bindings, Delta};
 use strudel_graph::fxhash::FxHashMap;
@@ -57,7 +66,7 @@ impl std::fmt::Display for PageRef {
 }
 
 /// The target of an out-link: another logical page or a plain value.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Target {
     /// A link to another page.
     Page(PageRef),
@@ -66,7 +75,7 @@ pub enum Target {
 }
 
 /// One outgoing link of a page, as computed at click time.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct OutLink {
     /// The edge label.
     pub label: String,
@@ -79,7 +88,8 @@ pub struct OutLink {
 pub struct DynStats {
     /// Pages expanded (at least one clause was a cache miss).
     pub expansions: u64,
-    /// Per-clause cache hits.
+    /// Per-clause cache hits, counting every clause of a page answered
+    /// by [`DynamicSite::rendered`] too.
     pub cache_hits: u64,
     /// Per-clause cache misses (clause evaluated and result inserted).
     pub cache_misses: u64,
@@ -89,6 +99,16 @@ pub struct DynStats {
     pub evictions: u64,
     /// Cache entries dropped by [`DynamicSite::invalidate`].
     pub invalidated: u64,
+}
+
+/// Counters for rendered pages kept in the cache (see
+/// [`DynamicSite::render`]).
+#[derive(Default, Clone, Copy, Debug)]
+pub struct RenderStats {
+    /// Requests answered by [`DynamicSite::rendered`] from stored bytes.
+    pub rendered_hits: u64,
+    /// Pages rendered through [`DynamicSite::render`].
+    pub renders: u64,
 }
 
 /// Bounds for the click-time result cache.
@@ -141,14 +161,29 @@ struct CreateInfo {
 
 type CacheKey = (usize, Vec<Value>);
 
+/// A live cache entry as of one moment: its slab slot and version stamp.
+type EntryRef = (usize, u64);
+
 const NIL: usize = usize::MAX;
 
 struct CacheEntry {
     key: CacheKey,
     links: Vec<OutLink>,
+    /// Approximate bytes, including any rendered output held here.
     bytes: usize,
+    /// Version stamp, unique per insert: an entry replaced under the same
+    /// key (or a recycled slot) never matches an older [`EntryRef`].
+    stamp: u64,
+    /// The page's rendered output, held by the entry of the page's first
+    /// clause and valid while all of the page's entries are: removing any
+    /// of them drops it.
+    rendered: Option<Arc<[u8]>>,
     prev: usize,
     next: usize,
+}
+
+fn rendered_cost(bytes: &Arc<[u8]>) -> usize {
+    2 * std::mem::size_of::<usize>() + bytes.len()
 }
 
 /// Hand-rolled LRU: a slab of entries threaded on an intrusive list
@@ -160,6 +195,10 @@ struct LruCache {
     head: usize,
     tail: usize,
     bytes: usize,
+    next_stamp: u64,
+    /// For each clause, the first clause of the same page: its entry holds
+    /// the page's rendered output.
+    first_clause: Arc<[usize]>,
     cfg: CacheConfig,
 }
 
@@ -188,7 +227,7 @@ fn approx_entry_bytes(key: &CacheKey, links: &[OutLink]) -> usize {
 }
 
 impl LruCache {
-    fn new(cfg: CacheConfig) -> Self {
+    fn new(cfg: CacheConfig, first_clause: Arc<[usize]>) -> Self {
         LruCache {
             map: FxHashMap::default(),
             slots: Vec::new(),
@@ -196,6 +235,8 @@ impl LruCache {
             head: NIL,
             tail: NIL,
             bytes: 0,
+            next_stamp: 0,
+            first_clause,
             cfg,
         }
     }
@@ -204,29 +245,42 @@ impl LruCache {
         self.map.len()
     }
 
+    fn entry(&self, idx: usize) -> &CacheEntry {
+        self.slots[idx].as_ref().expect("live slot")
+    }
+
+    fn entry_mut(&mut self, idx: usize) -> &mut CacheEntry {
+        self.slots[idx].as_mut().expect("live slot")
+    }
+
+    fn is_live(&self, (idx, stamp): EntryRef) -> bool {
+        matches!(self.slots.get(idx), Some(Some(e)) if e.stamp == stamp)
+    }
+
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = {
-            let e = self.slots[idx].as_ref().expect("unlink of free slot");
+            let e = self.entry(idx);
             (e.prev, e.next)
         };
         match prev {
             NIL => self.head = next,
-            p => self.slots[p].as_mut().expect("list prev").next = next,
+            p => self.entry_mut(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slots[n].as_mut().expect("list next").prev = prev,
+            n => self.entry_mut(n).prev = prev,
         }
     }
 
     fn push_front(&mut self, idx: usize) {
+        let head = self.head;
         {
-            let e = self.slots[idx].as_mut().expect("push of free slot");
+            let e = self.entry_mut(idx);
             e.prev = NIL;
-            e.next = self.head;
+            e.next = head;
         }
-        if self.head != NIL {
-            self.slots[self.head].as_mut().expect("old head").prev = idx;
+        if head != NIL {
+            self.entry_mut(head).prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -234,28 +288,74 @@ impl LruCache {
         }
     }
 
-    /// Looks up `key`, marking it most-recently used.
-    fn get(&mut self, key: &CacheKey) -> Option<&[OutLink]> {
-        let idx = *self.map.get(key)?;
+    /// Marks a slot most-recently used.
+    fn touch(&mut self, idx: usize) {
         if self.head != idx {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(&self.slots[idx].as_ref().expect("mapped slot").links)
     }
 
-    /// Removes one entry by slab index.
+    /// Looks up `key`, marking it most-recently used.
+    fn get(&mut self, key: &CacheKey) -> Option<(&[OutLink], EntryRef)> {
+        let idx = *self.map.get(key)?;
+        self.touch(idx);
+        let e = self.entry(idx);
+        Some((&e.links, (idx, e.stamp)))
+    }
+
+    /// Removes one entry by slab index, with the rendered output of the
+    /// page it belongs to.
     fn remove_idx(&mut self, idx: usize) {
         self.unlink(idx);
         let entry = self.slots[idx].take().expect("remove of free slot");
         self.map.remove(&entry.key);
         self.bytes -= entry.bytes;
         self.free.push(idx);
+        let (clause, args) = entry.key;
+        let first = self.first_clause[clause];
+        if first != clause {
+            if let Some(&holder) = self.map.get(&(first, args)) {
+                self.drop_rendered(holder);
+            }
+        }
+    }
+
+    /// Drops the rendered output held by the entry in slot `idx`.
+    fn drop_rendered(&mut self, idx: usize) {
+        let e = self.entry_mut(idx);
+        if let Some(r) = e.rendered.take() {
+            e.bytes -= rendered_cost(&r);
+            self.bytes -= rendered_cost(&r);
+        }
+    }
+
+    /// Drops every page's rendered output, keeping the clause entries.
+    fn drop_all_rendered(&mut self) {
+        for idx in 0..self.slots.len() {
+            if self.slots[idx].is_some() {
+                self.drop_rendered(idx);
+            }
+        }
+    }
+
+    /// Evicts from the LRU end until within bounds, stopping at the first
+    /// entry `keep` protects. Returns the number of evictions.
+    fn evict_to_bounds(&mut self, keep: impl Fn(usize) -> bool) -> u64 {
+        let mut evicted = 0;
+        while (self.map.len() > self.cfg.max_entries || self.bytes > self.cfg.max_bytes)
+            && self.tail != NIL
+            && !keep(self.tail)
+        {
+            self.remove_idx(self.tail);
+            evicted += 1;
+        }
+        evicted
     }
 
     /// Inserts (or replaces) an entry, then evicts from the LRU end until
-    /// within bounds. Returns the number of evictions.
-    fn insert(&mut self, key: CacheKey, links: Vec<OutLink>) -> u64 {
+    /// within bounds. Returns the number of evictions and the new entry.
+    fn insert(&mut self, key: CacheKey, links: Vec<OutLink>) -> (u64, EntryRef) {
         if let Some(&idx) = self.map.get(&key) {
             self.remove_idx(idx);
         }
@@ -267,28 +367,63 @@ impl LruCache {
                 self.slots.len() - 1
             }
         };
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
         self.slots[idx] = Some(CacheEntry {
             key: key.clone(),
             links,
             bytes,
+            stamp,
+            rendered: None,
             prev: NIL,
             next: NIL,
         });
         self.map.insert(key, idx);
         self.push_front(idx);
         self.bytes += bytes;
-
-        let mut evicted = 0;
         // Never evict the entry just inserted, even if it alone exceeds
         // max_bytes: the caller paid for it and is about to use it.
-        while (self.map.len() > self.cfg.max_entries || self.bytes > self.cfg.max_bytes)
-            && self.tail != idx
-            && self.tail != NIL
-        {
-            self.remove_idx(self.tail);
-            evicted += 1;
+        (self.evict_to_bounds(|t| t == idx), (idx, stamp))
+    }
+
+    /// Attaches a page's rendered output to the entries it was rendered
+    /// from (`used`, in clause order, so the first clause's entry holds
+    /// it), then evicts to bounds. Refused — `None` — when any of them was
+    /// removed or replaced meanwhile.
+    fn attach(&mut self, used: &[EntryRef], bytes: Arc<[u8]>) -> Option<u64> {
+        if used.is_empty() || !used.iter().all(|&e| self.is_live(e)) {
+            return None;
         }
-        evicted
+        let cost = rendered_cost(&bytes);
+        let e = self.entry_mut(used[0].0);
+        let old = e.rendered.replace(bytes).map_or(0, |r| rendered_cost(&r));
+        e.bytes = e.bytes - old + cost;
+        self.bytes = self.bytes - old + cost;
+        Some(self.evict_to_bounds(|t| used.iter().any(|&(idx, _)| idx == t)))
+    }
+
+    /// The rendered output of the page whose clauses are `clauses` (first
+    /// clause first) and whose arguments are `args`, marking every entry
+    /// of the page most-recently used, as an expansion would. Returns the
+    /// output and the page's number of clauses.
+    fn rendered(
+        &mut self,
+        mut clauses: impl Iterator<Item = usize>,
+        args: Vec<Value>,
+    ) -> Option<(Arc<[u8]>, usize)> {
+        let mut key = (clauses.next()?, args);
+        let idx = *self.map.get(&key)?;
+        let bytes = self.entry(idx).rendered.clone()?;
+        let mut n = 1;
+        // The output exists, so every entry of the page is live.
+        for clause in clauses {
+            key.0 = clause;
+            let sibling = *self.map.get(&key).expect("entry of a rendered page");
+            self.touch(sibling);
+            n += 1;
+        }
+        self.touch(idx);
+        Some((bytes, n))
     }
 
     /// Drops every entry for which `pred` returns true; returns the count.
@@ -312,7 +447,7 @@ impl LruCache {
         let mut out = Vec::with_capacity(self.map.len());
         let mut idx = self.tail;
         while idx != NIL {
-            let e = self.slots[idx].as_ref().expect("listed slot");
+            let e = self.entry(idx);
             out.push((e.key.clone(), e.links.clone()));
             idx = e.prev;
         }
@@ -329,6 +464,8 @@ struct Counters {
     clause_queries: AtomicU64,
     evictions: AtomicU64,
     invalidated: AtomicU64,
+    rendered_hits: AtomicU64,
+    renders: AtomicU64,
 }
 
 /// An exported copy of the click-time cache, for warm restarts. Only
@@ -344,6 +481,8 @@ pub struct DynamicSite<'g> {
     data: &'g Graph,
     opts: EvalOptions,
     clauses: Vec<ClauseInfo>,
+    /// Clause ids by source Skolem function, in query order.
+    by_skolem: FxHashMap<String, Vec<usize>>,
     creates: Vec<CreateInfo>,
     cache: Mutex<LruCache>,
     counters: Counters,
@@ -373,12 +512,28 @@ impl<'g> DynamicSite<'g> {
             &mut clauses,
             &mut creates,
         );
+        let mut by_skolem: FxHashMap<String, Vec<usize>> = FxHashMap::default();
+        for (i, c) in clauses.iter().enumerate() {
+            by_skolem.entry(c.from_fn.clone()).or_default().push(i);
+        }
+        // A page's clauses share the Skolem function and its arity.
+        let first_clause: Arc<[usize]> = clauses
+            .iter()
+            .map(|c| {
+                by_skolem[&c.from_fn]
+                    .iter()
+                    .copied()
+                    .find(|&j| clauses[j].from_args.len() == c.from_args.len())
+                    .expect("a clause is in its own group")
+            })
+            .collect();
         Ok(DynamicSite {
             data,
             opts,
             clauses,
+            by_skolem,
             creates,
-            cache: Mutex::new(LruCache::new(cache)),
+            cache: Mutex::new(LruCache::new(cache, first_clause)),
             counters: Counters::default(),
         })
     }
@@ -392,6 +547,14 @@ impl<'g> DynamicSite<'g> {
             clause_queries: self.counters.clause_queries.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             invalidated: self.counters.invalidated.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counters for rendered pages kept in the cache.
+    pub fn render_stats(&self) -> RenderStats {
+        RenderStats {
+            rendered_hits: self.counters.rendered_hits.load(Ordering::Relaxed),
+            renders: self.counters.renders.load(Ordering::Relaxed),
         }
     }
 
@@ -429,8 +592,11 @@ impl<'g> DynamicSite<'g> {
     /// eviction nor invalidation: the caller asked for a cold cache.
     pub fn cache_clear(&self) {
         let mut cache = self.cache.lock();
-        let cfg = cache.cfg;
-        *cache = LruCache::new(cfg);
+        let mut cleared = LruCache::new(cache.cfg, cache.first_clause.clone());
+        // Stamps stay unique across the clear: a render in flight must not
+        // mistake a new entry in a reused slot for one it read.
+        cleared.next_stamp = cache.next_stamp;
+        *cache = cleared;
     }
 
     /// The precomputed roots: pages of zero-argument Skolem functions
@@ -484,11 +650,27 @@ impl<'g> DynamicSite<'g> {
         Ok(out)
     }
 
+    /// The ids of `page`'s link clauses, in query order.
+    fn page_clauses<'a>(&'a self, page: &'a PageRef) -> impl Iterator<Item = usize> + 'a {
+        self.by_skolem
+            .get(page.skolem.as_str())
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&i| self.clauses[i].from_args.len() == page.args.len())
+    }
+
     /// Click-time expansion: computes the outgoing links of `page` by
     /// running each of its link clauses with the page's Skolem arguments
     /// bound. Cached per (clause, arguments); safe to call from many
     /// threads over one shared site.
     pub fn expand(&self, page: &PageRef) -> Result<Vec<OutLink>> {
+        self.expand_from(page, &mut Vec::new())
+    }
+
+    /// [`DynamicSite::expand`], also pushing onto `used` the cache entry
+    /// each clause's links came from, in clause order.
+    fn expand_from(&self, page: &PageRef, used: &mut Vec<EntryRef>) -> Result<Vec<OutLink>> {
         // Flight-recorder span for the cache layer: hit/miss counts per
         // request tell apart "slow because cold" from "slow because the
         // query is slow" (the nested eval.op spans cover the latter).
@@ -499,20 +681,19 @@ impl<'g> DynamicSite<'g> {
             tspan.attr_text("page", &page.skolem);
         }
         let mut out: Vec<OutLink> = Vec::new();
-        let clause_ids: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.from_fn == page.skolem && c.from_args.len() == page.args.len())
-            .map(|(i, _)| i)
-            .collect();
+        let mut clauses = 0;
         let mut expanded = false;
-        for i in clause_ids {
+        for i in self.page_clauses(page) {
+            clauses += 1;
             let key = (i, page.args.clone());
-            if let Some(cached) = self.cache.lock().get(&key) {
+            let hit = self.cache.lock().get(&key).map(|(cached, at)| {
+                out.extend(cached.iter().cloned());
+                at
+            });
+            if let Some(at) = hit {
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 span_hits += 1;
-                out.extend(cached.iter().cloned());
+                used.push(at);
                 continue;
             }
             // Evaluate outside the lock: clause queries are the expensive
@@ -523,7 +704,8 @@ impl<'g> DynamicSite<'g> {
             span_misses += 1;
             let links = self.eval_clause(i, page)?;
             out.extend(links.iter().cloned());
-            let evicted = self.cache.lock().insert(key, links);
+            let (evicted, at) = self.cache.lock().insert(key, links);
+            used.push(at);
             if evicted > 0 {
                 self.counters
                     .evictions
@@ -533,20 +715,54 @@ impl<'g> DynamicSite<'g> {
         if expanded {
             self.counters.expansions.fetch_add(1, Ordering::Relaxed);
         }
-        // Set semantics across clauses.
-        let mut seen = Vec::new();
-        out.retain(|l| {
-            if seen.contains(l) {
-                false
-            } else {
-                seen.push(l.clone());
-                true
-            }
-        });
+        // Set semantics across clauses (each clause's links are already
+        // distinct).
+        if clauses > 1 {
+            out = dedup_in_order(out);
+        }
         tspan.attr_u64("hits", span_hits);
         tspan.attr_u64("misses", span_misses);
         tspan.attr_u64("links", out.len() as u64);
         Ok(out)
+    }
+
+    /// Expands `page`, renders its links with `render`, and keeps the
+    /// output in the cache, attached to the clause entries it was rendered
+    /// from, for [`DynamicSite::rendered`] to hand out. The output counts
+    /// against the cache's byte bound and goes with the first of those
+    /// entries to be evicted, invalidated or replaced; if one already
+    /// changed while `render` ran, the output is returned but not kept.
+    pub fn render(
+        &self,
+        page: &PageRef,
+        render: impl FnOnce(&[OutLink]) -> Arc<[u8]>,
+    ) -> Result<Arc<[u8]>> {
+        let mut used = Vec::new();
+        let links = self.expand_from(page, &mut used)?;
+        let bytes = render(&links);
+        self.counters.renders.fetch_add(1, Ordering::Relaxed);
+        if let Some(evicted) = self.cache.lock().attach(&used, bytes.clone()) {
+            self.counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
+        }
+        Ok(bytes)
+    }
+
+    /// The output [`DynamicSite::render`] kept for `page`, if every clause
+    /// entry it was rendered from is still cached unchanged. A hit counts
+    /// as one rendered hit and as a cache hit per clause, and marks the
+    /// page's entries most-recently used, as an expansion would.
+    pub fn rendered(&self, page: &PageRef) -> Option<Arc<[u8]>> {
+        let (bytes, clauses) = self
+            .cache
+            .lock()
+            .rendered(self.page_clauses(page), page.args.clone())?;
+        self.counters.rendered_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .cache_hits
+            .fetch_add(clauses as u64, Ordering::Relaxed);
+        Some(bytes)
     }
 
     /// Drops the cached results a data-graph change — an insertion *or a
@@ -598,13 +814,15 @@ impl<'g> DynamicSite<'g> {
 
     /// Imports entries from [`DynamicSite::cache_snapshot`], subject to
     /// this site's bounds. Entries referencing clauses this site does not
-    /// have are skipped.
+    /// have are skipped. Rendered pages are not carried over, and any this
+    /// site already kept are dropped.
     pub fn cache_restore(&self, snap: CacheSnapshot) {
         let mut cache = self.cache.lock();
+        cache.drop_all_rendered();
         let mut evicted = 0;
         for (key, links) in snap.entries {
             if key.0 < self.clauses.len() {
-                evicted += cache.insert(key, links);
+                evicted += cache.insert(key, links).0;
             }
         }
         drop(cache);
@@ -697,13 +915,26 @@ impl<'g> DynamicSite<'g> {
                 Term::Lit(l) => Target::Value(l.to_value()),
                 Term::Agg(..) => unreachable!("handled above"),
             };
-            let link = OutLink { label, target };
-            if !links.contains(&link) {
-                links.push(link);
-            }
+            links.push(OutLink { label, target });
         }
-        Ok(links)
+        Ok(dedup_in_order(links))
     }
+}
+
+/// Drops repeated links, keeping each one's first occurrence in place.
+fn dedup_in_order(links: Vec<OutLink>) -> Vec<OutLink> {
+    let keep: Vec<bool> = {
+        let mut seen = strudel_graph::fxhash::FxHashSet::default();
+        links.iter().map(|l| seen.insert(l)).collect()
+    };
+    if !keep.contains(&false) {
+        return links;
+    }
+    links
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(l, k)| k.then_some(l))
+        .collect()
 }
 
 /// How a delta can affect one clause's cached results.
@@ -1179,5 +1410,223 @@ object p3 in Publications { title "C" year 1997 }
         let s = warm.stats();
         assert_eq!(s.cache_misses, 0, "restored entries must serve the click");
         assert!(s.cache_hits > 0);
+    }
+
+    fn year(y: i64) -> PageRef {
+        PageRef {
+            skolem: "YearPage".into(),
+            args: vec![Value::Int(y)],
+        }
+    }
+
+    /// Renders a page's links as their debug text, the way a caller's
+    /// renderer would turn them into response bytes.
+    fn render_debug(site: &DynamicSite<'_>, page: &PageRef) -> Arc<[u8]> {
+        site.render(page, |links| format!("{links:?}").into_bytes().into())
+            .unwrap()
+    }
+
+    #[test]
+    fn rendered_bytes_are_kept_and_served_until_an_entry_changes() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let site = DynamicSite::new(&g, &q, EvalOptions::default()).unwrap();
+        let y = year(1997);
+        assert!(site.rendered(&y).is_none(), "nothing rendered yet");
+        let bytes_before = site.cache_bytes();
+        let out = render_debug(&site, &y);
+        assert_eq!(&*out, format!("{:?}", site.expand(&y).unwrap()).as_bytes());
+        assert!(site.cache_bytes() >= bytes_before + out.len());
+
+        let before = site.stats();
+        let hit = site.rendered(&y).expect("kept");
+        assert!(Arc::ptr_eq(&hit, &out), "the stored bytes, not a copy");
+        let after = site.stats();
+        // YearPage has two link clauses: one rendered hit = two clause hits.
+        assert_eq!(after.cache_hits, before.cache_hits + 2);
+        assert_eq!(after.cache_misses, before.cache_misses);
+        let r = site.render_stats();
+        assert_eq!((r.rendered_hits, r.renders), (1, 1));
+
+        // Invalidating the other year leaves this one rendered ...
+        let p2 = g.nodes()[1];
+        site.invalidate(&Delta::EdgeAdded {
+            from: p2,
+            label: g.sym("year"),
+            to: Value::Int(1998),
+        });
+        assert!(site.rendered(&y).is_some());
+        // ... invalidating this year drops its bytes with its entries.
+        let p1 = g.nodes()[0];
+        site.invalidate(&Delta::EdgeAdded {
+            from: p1,
+            label: g.sym("year"),
+            to: Value::Int(1997),
+        });
+        assert!(site.rendered(&y).is_none());
+        assert_eq!(site.render_stats().rendered_hits, 2);
+    }
+
+    #[test]
+    fn eviction_of_any_entry_drops_the_page_bytes() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let cfg = CacheConfig {
+            max_entries: 4,
+            max_bytes: usize::MAX,
+        };
+        let site = DynamicSite::with_cache(&g, &q, EvalOptions::default(), cfg).unwrap();
+        render_debug(&site, &year(1997));
+        render_debug(&site, &year(1998));
+        assert!(site.rendered(&year(1997)).is_some());
+        assert!(site.rendered(&year(1998)).is_some());
+        // The hit above made 1997 least recently used: the root's two
+        // entries displace it, and its bytes go too.
+        site.expand(&PageRef {
+            skolem: "RootPage".into(),
+            args: vec![],
+        })
+        .unwrap();
+        assert_eq!(site.stats().evictions, 2);
+        assert!(site.rendered(&year(1997)).is_none());
+        assert!(site.rendered(&year(1998)).is_some());
+    }
+
+    #[test]
+    fn evicting_a_later_clause_entry_drops_the_page_bytes() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let cfg = CacheConfig {
+            max_entries: 3,
+            max_bytes: usize::MAX,
+        };
+        let site = DynamicSite::with_cache(&g, &q, EvalOptions::default(), cfg).unwrap();
+        let y = year(1997);
+        render_debug(&site, &y);
+        // A hit marks the first clause's entry, which holds the bytes,
+        // most recently used: the second clause's entry is now the LRU.
+        assert!(site.rendered(&y).is_some());
+        let abstracts = PageRef {
+            skolem: "AbstractsPage".into(),
+            args: vec![],
+        };
+        site.expand(&abstracts).unwrap();
+        site.expand(&PageRef {
+            skolem: "AbstractPage".into(),
+            args: vec![Value::Node(g.nodes()[0])],
+        })
+        .unwrap();
+        assert_eq!(site.stats().evictions, 1);
+        assert!(site.rendered(&y).is_none(), "bytes went with the entry");
+        let before = site.stats();
+        site.expand(&y).unwrap();
+        let after = site.stats();
+        assert_eq!(
+            after.cache_hits - before.cache_hits,
+            1,
+            "holder entry stayed"
+        );
+        assert_eq!(after.cache_misses - before.cache_misses, 1);
+    }
+
+    #[test]
+    fn rendered_bytes_count_against_the_byte_bound() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let cfg = CacheConfig {
+            max_entries: usize::MAX,
+            max_bytes: 4096,
+        };
+        let site = DynamicSite::with_cache(&g, &q, EvalOptions::default(), cfg).unwrap();
+        let big = |_: &[OutLink]| -> Arc<[u8]> { vec![b'x'; 3000].into() };
+        site.render(&year(1997), big).unwrap();
+        assert!(site.rendered(&year(1997)).is_some());
+        site.render(&year(1998), big).unwrap();
+        // Two 3000-byte pages cannot both fit in 4096 bytes.
+        assert!(site.cache_bytes() <= 4096, "{}", site.cache_bytes());
+        assert!(site.rendered(&year(1997)).is_none());
+        assert!(site.rendered(&year(1998)).is_some());
+        assert!(site.stats().evictions > 0);
+    }
+
+    #[test]
+    fn clear_and_restore_drop_rendered_bytes() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let site = DynamicSite::new(&g, &q, EvalOptions::default()).unwrap();
+        render_debug(&site, &year(1997));
+        site.cache_clear();
+        assert!(site.rendered(&year(1997)).is_none());
+
+        render_debug(&site, &year(1997));
+        let snap = site.cache_snapshot();
+        let len = site.cache_len();
+        site.cache_restore(snap);
+        assert_eq!(site.cache_len(), len, "clause entries kept");
+        assert!(site.rendered(&year(1997)).is_none(), "bytes dropped");
+    }
+
+    #[test]
+    fn attach_is_refused_when_an_entry_changes_while_rendering() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let site = DynamicSite::new(&g, &q, EvalOptions::default()).unwrap();
+        let y = year(1997);
+        let p1 = g.nodes()[0];
+        let out = site
+            .render(&y, |links| {
+                // A concurrent data change lands mid-render.
+                site.invalidate(&Delta::EdgeAdded {
+                    from: p1,
+                    label: g.sym("year"),
+                    to: Value::Int(1997),
+                });
+                format!("{links:?}").into_bytes().into()
+            })
+            .unwrap();
+        assert!(!out.is_empty(), "the caller still gets its render");
+        assert!(site.rendered(&y).is_none(), "stale bytes must not be kept");
+        // A cache cleared mid-render refuses the same way, even when
+        // another page's entries land in the very slots it read.
+        let site = DynamicSite::new(&g, &q, EvalOptions::default()).unwrap();
+        let other = year(1998);
+        site.render(&y, |_| {
+            site.cache_clear();
+            site.expand(&other).unwrap();
+            Arc::from(&b"x"[..])
+        })
+        .unwrap();
+        assert!(site.rendered(&y).is_none());
+        assert!(site.rendered(&other).is_none(), "bytes of 1997 on 1998");
+    }
+
+    #[test]
+    fn pages_without_clauses_are_never_kept() {
+        let g = data();
+        let q = parse_query(FIG3).unwrap();
+        let site = DynamicSite::new(&g, &q, EvalOptions::default()).unwrap();
+        let nowhere = PageRef {
+            skolem: "Nowhere".into(),
+            args: vec![],
+        };
+        render_debug(&site, &nowhere);
+        assert!(site.rendered(&nowhere).is_none());
+        // Wrong arity for a known Skolem: no clause applies either.
+        let root_with_arg = PageRef {
+            skolem: "RootPage".into(),
+            args: vec![Value::Int(1)],
+        };
+        render_debug(&site, &root_with_arg);
+        assert!(site.rendered(&root_with_arg).is_none());
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences_in_order() {
+        let link = |l: &str| OutLink {
+            label: l.into(),
+            target: Target::Value(Value::Int(1)),
+        };
+        let out = dedup_in_order(vec![link("b"), link("a"), link("b"), link("c"), link("a")]);
+        assert_eq!(out, vec![link("b"), link("a"), link("c")]);
     }
 }

@@ -4,12 +4,15 @@
 //! loop (`serve::event`):
 //!
 //! ```text
-//!            first byte                 head complete
-//!   Idle ───────────────▶ Reading ─────────────────▶ Dispatched
-//!    ▲                       │                            │ worker done
-//!    │                       │ deadline / garbage         ▼
-//!    └────── keep-alive ── Writing ◀──────────────────────┘
-//!             (flush done)
+//!            first byte            head complete, page cache miss
+//!   Idle ───────────────▶ Reading ───────────────────────▶ Dispatched
+//!    ▲                     │   │                                │
+//!    │     page cache hit  │   │ deadline / garbage             │ worker
+//!    │  (answered on the   │   ▼                                │ done
+//!    │   loop itself)      └─▶ Writing ◀────────────────────────┘
+//!    │                          │
+//!    └───── keep-alive ─────────┘ (flush done; a buffered pipelined
+//!                                  request goes straight to Reading)
 //! ```
 //!
 //! The whole-request deadline is armed once, when the first byte of a
@@ -18,6 +21,7 @@
 //! almost-timeout can no longer hold the connection open indefinitely
 //! (the slow-loris window the per-read timeout reset used to leave).
 
+use super::http::Wire;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -32,7 +36,8 @@ pub(crate) enum ConnState {
     /// A partial request head is buffered; the whole-request deadline is
     /// running.
     Reading,
-    /// A complete request is with the worker pool; the socket is quiet.
+    /// A complete request missed the page cache and is with the worker
+    /// pool; the socket is quiet.
     Dispatched,
     /// Response bytes are draining to the socket.
     Writing,
@@ -69,7 +74,9 @@ pub(crate) struct Conn {
     /// generation it was dispatched under and is dropped on mismatch.
     pub generation: u64,
     pub rbuf: Vec<u8>,
-    pub wbuf: Vec<u8>,
+    /// The response being written; a page cache hit shares the cache's
+    /// bytes instead of copying them.
+    pub wbuf: Wire,
     pub wpos: usize,
     /// Whole-request (or idle) deadline; `None` while the request is with
     /// a worker or the response is draining.
@@ -103,7 +110,7 @@ impl Conn {
             state: ConnState::Idle,
             generation,
             rbuf: Vec::new(),
-            wbuf: Vec::new(),
+            wbuf: Wire::Owned(Vec::new()),
             wpos: 0,
             deadline: Some(now + request_timeout),
             served: 0,
@@ -145,7 +152,7 @@ impl Conn {
     }
 
     /// Arms a response for writing. `Flush` it to make progress.
-    pub fn queue_response(&mut self, bytes: Vec<u8>, is_error: bool, close_after: bool) {
+    pub fn queue_response(&mut self, bytes: Wire, is_error: bool, close_after: bool) {
         debug_assert!(self.wpos >= self.wbuf.len(), "response already in flight");
         if self.trace.is_some() {
             self.trace_write_ns = trace::now_ns();

@@ -1,27 +1,39 @@
 //! The event-driven serving mode: one readiness loop owning every socket,
-//! a worker pool owning every page expansion.
+//! a worker pool owning every page expansion and render.
 //!
 //! The loop (this module) runs on the thread that called
 //! [`Server::serve`]; it accepts connections, pumps non-blocking reads
-//! and writes through each [`Conn`] state machine, enforces whole-request
-//! deadlines and admission control, and never computes a page. Complete
-//! requests are handed to the worker pool over a channel; workers run the
-//! router (which may expand pages through the shared [`DynamicSite`]
-//! cache), encode the response, and hand the bytes back with
-//! [`Poller::notify`] as the doorbell. One request is in flight per
-//! connection at a time, so pipelined requests are answered strictly in
-//! arrival order; their bytes simply wait in the connection's read buffer
-//! (and the kernel's) until the previous response has drained.
+//! and writes through each [`Conn`] state machine, and enforces
+//! whole-request deadlines and admission control. A complete request
+//! takes one of two paths:
+//!
+//! * **Hit**: a `GET`/`HEAD` of a page whose rendered response the shared
+//!   [`DynamicSite`] cache still holds ([`DynamicSite::rendered`]) is
+//!   answered on the loop itself: one lookup, then the cached bytes are
+//!   queued on the connection without a copy. The loop never expands,
+//!   evaluates or renders a page.
+//! * **Miss**: everything else goes to the worker pool over a channel;
+//!   workers run the router (which expands and renders pages through the
+//!   cache, keeping each rendered response for later hits), encode the
+//!   response, and hand the bytes back with [`Poller::notify`] as the
+//!   doorbell.
+//!
+//! One request is in flight per connection at a time, so pipelined
+//! requests are answered strictly in arrival order; their bytes simply
+//! wait in the connection's read buffer (and the kernel's) until the
+//! previous response has drained. A run of pipelined hits is answered in
+//! one pass over the buffer.
 //!
 //! [`DynamicSite`]: strudel_site::DynamicSite
+//! [`DynamicSite::rendered`]: strudel_site::DynamicSite::rendered
 
 use super::conn::{Conn, ConnState, Fill, Flush};
-use super::http::{self, AcceptBackoff, Method, Parsed, Request};
+use super::http::{self, AcceptBackoff, Method, Parsed, Request, Wire};
 use super::Server;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use strudel_obs::trace;
 
@@ -68,7 +80,7 @@ struct Job {
 struct Completion {
     slot: usize,
     generation: u64,
-    bytes: Vec<u8>,
+    bytes: Wire,
     is_error: bool,
     close_after: bool,
     /// Numeric HTTP status, recorded on the request's root span.
@@ -104,21 +116,12 @@ pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error
                     // dispatch and here surfaces as queue time on the root.
                     let trace_guard = job.trace.as_ref().map(trace::enter);
                     let mut hspan = trace::span("serve.handle", trace::Layer::Serve);
-                    let (status, content_type, body) = server.route_request(&job.req, shutdown);
-                    let is_error = !status.starts_with('2');
-                    let status_code = status
-                        .split(' ')
-                        .next()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or(0);
+                    let reply = server.route_request(&job.req, shutdown);
+                    let status_code = reply.status_code();
                     let keep = job.req.keep_alive && !shutdown.load(Ordering::Acquire);
-                    let bytes = http::encode_response(
-                        &status,
-                        content_type,
-                        &body,
-                        keep,
-                        job.req.method == Method::Head,
-                    );
+                    let bytes = reply.encode(keep, job.req.method == Method::Head);
+                    let is_error = reply.is_error();
+                    hspan.attr_u64("hit", 0);
                     hspan.attr_u64("status", status_code);
                     hspan.attr_u64("bytes", bytes.len() as u64);
                     drop(hspan);
@@ -273,7 +276,7 @@ impl EventLoop<'_, '_> {
         if overloaded {
             self.server.metrics.admission_rejected.inc();
             conn.rejected = true;
-            conn.queue_response(http::overload_response(), true, true);
+            conn.queue_response(Wire::Owned(http::overload_response()), true, true);
         }
         let slot = match self.free.pop() {
             Some(s) => {
@@ -387,87 +390,138 @@ impl EventLoop<'_, '_> {
         }
     }
 
-    /// Parses and dispatches from the read buffer. Callable only in
+    /// Parses and answers requests from the read buffer: page cache hits
+    /// on the spot, one after another while pipelined hits keep arriving
+    /// complete; the first miss goes to the worker pool. Callable only in
     /// `Idle`/`Reading`.
     fn advance(&mut self, slot: usize) {
         let max_head = self.server.config.max_request_bytes;
-        let conn = self.conns[slot].as_mut().unwrap();
-        match http::parse_request(&conn.rbuf) {
-            Parsed::Incomplete => {
-                if conn.rbuf.len() > max_head {
+        loop {
+            let conn = self.conns[slot].as_mut().unwrap();
+            let (req, consumed) = match http::parse_request(&conn.rbuf) {
+                Parsed::Incomplete => {
+                    if conn.rbuf.len() > max_head {
+                        self.respond_inline(
+                            slot,
+                            "431 Request Header Fields Too Large",
+                            "<html><body>request too large</body></html>",
+                        );
+                    } else {
+                        self.set_interest(slot, Event::readable(slot + 1));
+                    }
+                    return;
+                }
+                Parsed::Malformed => {
+                    self.respond_inline(
+                        slot,
+                        "400 Bad Request",
+                        "<html><body>malformed request line</body></html>",
+                    );
+                    return;
+                }
+                Parsed::Request(_, consumed) if consumed > max_head => {
                     self.respond_inline(
                         slot,
                         "431 Request Header Fields Too Large",
                         "<html><body>request too large</body></html>",
                     );
-                } else {
-                    self.set_interest(slot, Event::readable(slot + 1));
+                    return;
                 }
-            }
-            Parsed::Malformed => {
+                Parsed::Request(req, consumed) => (req, consumed),
+            };
+            conn.rbuf.drain(..consumed);
+            if req.has_body {
                 self.respond_inline(
                     slot,
                     "400 Bad Request",
-                    "<html><body>malformed request line</body></html>",
+                    "<html><body>request bodies are not supported</body></html>",
                 );
+                return;
             }
-            Parsed::Request(_, consumed) if consumed > max_head => {
-                self.respond_inline(
-                    slot,
-                    "431 Request Header Fields Too Large",
-                    "<html><body>request too large</body></html>",
+            if conn.served > 0 {
+                self.server.metrics.keepalive_reuses.inc();
+            }
+            conn.deadline = None;
+            // Close the parse phase: first byte → complete head.
+            let trace_ctx = conn.trace.as_mut().map(|root| {
+                root.attr_text("path", &req.path);
+                let ctx = root.ctx();
+                trace::record_span(
+                    &ctx,
+                    "serve.parse",
+                    trace::Layer::Serve,
+                    root.start_ns(),
+                    trace::now_ns(),
+                    &[("bytes", trace::AttrValue::U64(consumed as u64))],
                 );
+                ctx
+            });
+            if let Some(stored) = self.server.cached_page(&req) {
+                self.answer_hit(slot, &req, &stored, trace_ctx);
+                if self.write_out(slot) {
+                    continue; // a pipelined successor is buffered
+                }
+                return;
             }
-            Parsed::Request(req, consumed) => {
-                conn.rbuf.drain(..consumed);
-                if req.has_body {
-                    self.respond_inline(
-                        slot,
-                        "400 Bad Request",
-                        "<html><body>request bodies are not supported</body></html>",
-                    );
-                    return;
-                }
-                if conn.served > 0 {
-                    self.server.metrics.keepalive_reuses.inc();
-                }
-                conn.state = ConnState::Dispatched;
-                conn.deadline = None;
-                // Close the parse phase: first byte → complete head.
-                let trace_ctx = conn.trace.as_mut().map(|root| {
-                    root.attr_text("path", &req.path);
-                    let ctx = root.ctx();
-                    trace::record_span(
-                        &ctx,
-                        "serve.parse",
-                        trace::Layer::Serve,
-                        root.start_ns(),
-                        trace::now_ns(),
-                        &[("bytes", trace::AttrValue::U64(consumed as u64))],
-                    );
-                    ctx
-                });
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    req,
-                    trace: trace_ctx,
-                };
-                self.set_interest(slot, Event::none(slot + 1));
-                if self.job_tx.send(job).is_err() {
-                    self.close(slot); // workers gone (only after a panic)
-                }
+            conn.state = ConnState::Dispatched;
+            let job = Job {
+                slot,
+                generation: conn.generation,
+                req,
+                trace: trace_ctx,
+            };
+            self.set_interest(slot, Event::none(slot + 1));
+            if self.job_tx.send(job).is_err() {
+                self.close(slot); // workers gone (only after a panic)
+            }
+            return;
+        }
+    }
+
+    /// Queues a page cache hit's response: the stored bytes framed for
+    /// this request, with a `serve.handle` span marked `hit`.
+    fn answer_hit(
+        &mut self,
+        slot: usize,
+        req: &Request,
+        stored: &Arc<[u8]>,
+        trace_ctx: Option<trace::Ctx>,
+    ) {
+        let handle_start = if trace_ctx.is_some() {
+            trace::now_ns()
+        } else {
+            0
+        };
+        let keep = req.keep_alive && !self.shutdown.load(Ordering::Acquire);
+        let bytes = http::page_wire(stored, keep, req.method == Method::Head);
+        let conn = self.conns[slot].as_mut().unwrap();
+        if let Some(ctx) = trace_ctx {
+            trace::record_span(
+                &ctx,
+                "serve.handle",
+                trace::Layer::Serve,
+                handle_start,
+                trace::now_ns(),
+                &[
+                    ("hit", trace::AttrValue::U64(1)),
+                    ("status", trace::AttrValue::U64(200)),
+                    ("bytes", trace::AttrValue::U64(bytes.len() as u64)),
+                ],
+            );
+            if let Some(root) = conn.trace.as_mut() {
+                root.attr_u64("status", 200);
             }
         }
+        conn.queue_response(bytes, false, !keep);
     }
 
     /// Queues a loop-generated error response (4xx) and starts flushing.
     /// The connection always closes afterwards: the request stream is not
     /// trustworthy past a framing error.
     fn respond_inline(&mut self, slot: usize, status: &str, body: &str) {
-        let bytes = http::encode_response(status, http::CT_HTML, body, false, false);
+        let bytes = http::encode_response(status, http::CT_HTML, body.as_bytes(), false, false);
         let conn = self.conns[slot].as_mut().unwrap();
-        conn.queue_response(bytes, true, true);
+        conn.queue_response(Wire::Owned(bytes), true, true);
         self.pump_write(slot);
     }
 
@@ -485,18 +539,31 @@ impl EventLoop<'_, '_> {
         self.pump_write(done.slot);
     }
 
+    /// Flushes the queued response and, once it is out, parses whatever
+    /// the client pipelined behind it.
     fn pump_write(&mut self, slot: usize) {
+        if self.write_out(slot) {
+            self.advance(slot);
+        }
+    }
+
+    /// Flushes the queued response; finishes it when fully written.
+    /// Returns true when the connection is left `Reading` with a
+    /// pipelined request buffered, for the caller to parse.
+    fn write_out(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().unwrap();
         match conn.flush() {
             Flush::Done => self.finish_response(slot),
             // The kernel buffer is full: only now is writability worth
             // polling for (the common case flushes in one call with no
             // interest churn).
-            Flush::Blocked => self.set_interest(slot, Event::writable(slot + 1)),
+            Flush::Blocked => {
+                self.set_interest(slot, Event::writable(slot + 1));
+                false
+            }
             Flush::Broken => {
                 // The request was processed even if the peer vanished
                 // before the bytes landed; keep the counters honest.
-                let conn = self.conns[slot].as_mut().unwrap();
                 finish_trace(conn);
                 if !conn.rejected {
                     self.server
@@ -504,11 +571,15 @@ impl EventLoop<'_, '_> {
                         .record(conn.req_started.elapsed(), conn.pending_is_error);
                 }
                 self.close(slot);
+                false
             }
         }
     }
 
-    fn finish_response(&mut self, slot: usize) {
+    /// Accounts a fully written response and readies the connection for
+    /// its next request. Returns true when that request is already
+    /// buffered (the connection is then `Reading`).
+    fn finish_response(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().unwrap();
         finish_trace(conn);
         if !conn.rejected {
@@ -519,7 +590,7 @@ impl EventLoop<'_, '_> {
         conn.served += 1;
         if conn.close_after_write || self.draining {
             self.close(slot);
-            return;
+            return false;
         }
         conn.state = ConnState::Idle;
         conn.req_started = Instant::now();
@@ -530,9 +601,10 @@ impl EventLoop<'_, '_> {
             conn.state = ConnState::Reading;
             conn.deadline = Some(conn.req_started + self.server.config.request_timeout);
             conn.trace = trace::begin_request("request");
-            self.advance(slot);
+            true
         } else {
             self.set_interest(slot, Event::readable(slot + 1));
+            false
         }
     }
 

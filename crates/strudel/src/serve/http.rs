@@ -10,6 +10,7 @@
 //! keeps pipelined framing trivial (the next request begins right after
 //! `\r\n\r\n`).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Content types the server emits.
@@ -132,20 +133,69 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parsed {
 pub(crate) fn encode_response(
     status: &str,
     content_type: &str,
-    body: &str,
+    body: &[u8],
     keep_alive: bool,
     head_only: bool,
 ) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
+    let mut out = response_head(status, content_type, body.len(), keep_alive).into_bytes();
     if !head_only {
-        out.extend_from_slice(body.as_bytes());
+        out.extend_from_slice(body);
     }
     out
+}
+
+/// [`encode_response`] for a keep-alive answer with its body, allocated
+/// once at its exact size so that it can be kept and shared.
+pub(crate) fn encode_shared(status: &str, content_type: &str, body: &[u8]) -> Arc<[u8]> {
+    let head = response_head(status, content_type, body.len(), true);
+    head.as_bytes().iter().chain(body).copied().collect()
+}
+
+fn response_head(status: &str, content_type: &str, body_len: usize, keep_alive: bool) -> String {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\nConnection: {connection}\r\n\r\n"
+    )
+}
+
+/// Response bytes ready for a socket: the connection's own, or a prefix
+/// of a response shared with the page cache.
+pub(crate) enum Wire {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>, usize),
+}
+
+impl std::ops::Deref for Wire {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Wire::Owned(bytes) => bytes,
+            Wire::Shared(bytes, len) => &bytes[..*len],
+        }
+    }
+}
+
+/// Frames a page response stored as a keep-alive `200` (see
+/// [`encode_response`]) for one request: the stored bytes as they are for
+/// a keep-alive `GET`, their head alone for a keep-alive `HEAD`, and
+/// re-encoded with `Connection: close` otherwise.
+pub(crate) fn page_wire(stored: &Arc<[u8]>, keep_alive: bool, head_only: bool) -> Wire {
+    if keep_alive && !head_only {
+        return Wire::Shared(stored.clone(), stored.len());
+    }
+    let head_len = find_head_end(stored).map_or(stored.len(), |end| end + 4);
+    if keep_alive {
+        Wire::Shared(stored.clone(), head_len)
+    } else {
+        Wire::Owned(encode_response(
+            "200 OK",
+            CT_HTML,
+            &stored[head_len..],
+            false,
+            head_only,
+        ))
+    }
 }
 
 /// A tiny static 503 for admission-control rejections, computed without
@@ -154,7 +204,7 @@ pub(crate) fn overload_response() -> Vec<u8> {
     encode_response(
         "503 Service Unavailable",
         CT_HTML,
-        "<html><body>server overloaded, retry shortly</body></html>",
+        b"<html><body>server overloaded, retry shortly</body></html>",
         false,
         false,
     )
@@ -247,8 +297,8 @@ mod tests {
 
     #[test]
     fn responses_frame_head_only_answers() {
-        let full = encode_response("200 OK", CT_HTML, "abc", true, false);
-        let head = encode_response("200 OK", CT_HTML, "abc", true, true);
+        let full = encode_response("200 OK", CT_HTML, b"abc", true, false);
+        let head = encode_response("200 OK", CT_HTML, b"abc", true, true);
         let full = String::from_utf8(full).unwrap();
         let head = String::from_utf8(head).unwrap();
         assert!(full.ends_with("\r\n\r\nabc"), "{full}");
@@ -258,8 +308,29 @@ mod tests {
         assert!(head.contains("Content-Length: 3\r\n"), "{head}");
         assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
         let closing =
-            String::from_utf8(encode_response("200 OK", CT_HTML, "x", false, false)).unwrap();
+            String::from_utf8(encode_response("200 OK", CT_HTML, b"x", false, false)).unwrap();
         assert!(closing.contains("Connection: close\r\n"), "{closing}");
+    }
+
+    /// A stored page answers every request shape exactly as encoding its
+    /// body afresh would.
+    #[test]
+    fn page_wire_matches_fresh_encoding() {
+        let body = b"<html><body>page</body></html>";
+        let stored = encode_shared("200 OK", CT_HTML, body);
+        assert_eq!(
+            &*stored,
+            &encode_response("200 OK", CT_HTML, body, true, false)[..]
+        );
+        for keep in [true, false] {
+            for head_only in [true, false] {
+                let wire = page_wire(&stored, keep, head_only);
+                let fresh = encode_response("200 OK", CT_HTML, body, keep, head_only);
+                assert_eq!(&*wire, &fresh[..], "keep {keep} head {head_only}");
+            }
+        }
+        assert!(matches!(page_wire(&stored, true, false), Wire::Shared(..)));
+        assert!(matches!(page_wire(&stored, true, true), Wire::Shared(..)));
     }
 
     use proptest::prelude::*;

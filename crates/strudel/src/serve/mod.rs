@@ -220,6 +220,34 @@ object a2 in Articles { headline "two" section "world" }
         buf
     }
 
+    /// Sends `/quit` when dropped, so a client that panics mid-test still
+    /// stops the server and the test fails instead of hanging.
+    struct QuitOnDrop(SocketAddr);
+
+    impl Drop for QuitOnDrop {
+        fn drop(&mut self) {
+            if let Ok(mut s) = TcpStream::connect(self.0) {
+                let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
+                let _ = s.write_all(b"GET /quit HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+                let mut sink = Vec::new();
+                let _ = s.read_to_end(&mut sink);
+            }
+        }
+    }
+
+    /// Serves `server` while `client` runs on its own thread; the server
+    /// stops when the client returns or panics, and a client panic fails
+    /// the test.
+    fn serve_client(server: &Server<'_>, client: impl FnOnce(SocketAddr) + Send + 'static) {
+        let addr = server.addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let _quit = QuitOnDrop(addr);
+            client(addr);
+        });
+        server.serve(None).unwrap();
+        handle.join().unwrap();
+    }
+
     /// Runs one test body against a server in each mode: the routing and
     /// framing behavior must not depend on the connection layer.
     fn in_both_modes(test: impl Fn(ServeMode)) {
@@ -237,9 +265,8 @@ object a2 in Articles { headline "two" section "world" }
                 ..ServerConfig::default()
             };
             let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
 
-            let client = std::thread::spawn(move || {
+            serve_client(&server, move |addr| {
                 let root = fetch(addr, "/");
                 assert!(root.contains("FrontPage"), "{root}");
                 let front = fetch(addr, "/page/FrontPage");
@@ -259,11 +286,7 @@ object a2 in Articles { headline "two" section "world" }
                 assert!(stats.contains("\"requests\""), "{stats}");
                 assert!(stats.contains("\"p50\""), "{stats}");
                 assert!(stats.contains("\"hits\""), "{stats}");
-                let _ = fetch(addr, "/quit");
             });
-
-            server.serve(None).unwrap();
-            client.join().unwrap();
             let stats = server.stats();
             assert!(stats.requests >= 7, "{mode:?}: {stats:?}");
             assert!(stats.errors >= 2, "{mode:?}: {stats:?}"); // the 400 and the 404
@@ -277,9 +300,8 @@ object a2 in Articles { headline "two" section "world" }
         let (data, query) = demo_site();
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let addr = server.addr().unwrap();
 
-        let client = std::thread::spawn(move || {
+        serve_client(&server, move |addr| {
             assert!(fetch(addr, "/page/FrontPage").contains("Story"));
             assert!(fetch(addr, "/page/FrontPage").contains("Story")); // cache hit
             assert!(fetch(addr, "/nope").contains("404"));
@@ -404,10 +426,7 @@ object a2 in Articles { headline "two" section "world" }
             ] {
                 assert!(stats.contains(key), "{stats}");
             }
-            let _ = fetch(addr, "/quit");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
     }
 
     /// End-to-end live update with a *deletion*: serve and warm the cache,
@@ -441,15 +460,11 @@ object a2 in Articles { headline "two" section "world" }
         let snap = {
             let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
             let server = Server::bind(site, "127.0.0.1:0").unwrap();
-            let addr = server.addr().unwrap();
             let (u1, u2) = (url1.clone(), url2.clone());
-            let client = std::thread::spawn(move || {
+            serve_client(&server, move |addr| {
                 assert!(fetch(addr, &u1).contains("one"));
                 assert!(fetch(addr, &u2).contains("two"));
-                let _ = fetch(addr, "/quit");
             });
-            server.serve(None).unwrap();
-            client.join().unwrap();
 
             let dropped = server.notify(&Delta::EdgeRemoved {
                 from: a1,
@@ -467,17 +482,13 @@ object a2 in Articles { headline "two" section "world" }
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         site.cache_restore(snap);
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let addr = server.addr().unwrap();
         let (u1, u2) = (url1.clone(), url2.clone());
-        let client = std::thread::spawn(move || {
+        serve_client(&server, move |addr| {
             let story1 = fetch(addr, &u1);
             assert!(!story1.contains("one"), "{story1}");
             assert!(story1.contains("world"), "{story1}"); // section edge intact
             assert!(fetch(addr, &u2).contains("two"));
-            let _ = fetch(addr, "/quit");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
         let d = server.site().stats();
         assert!(d.cache_hits >= 1, "untouched page should stay warm: {d:?}");
         assert!(
@@ -499,9 +510,8 @@ object a2 in Articles { headline "two" section "world" }
                 ..ServerConfig::default()
             };
             let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
 
-            let client = std::thread::spawn(move || {
+            serve_client(&server, move |addr| {
                 let mut s = TcpStream::connect(addr).expect("connect");
                 s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
                 // First flush stops mid-request-line: no terminator, and even
@@ -517,10 +527,7 @@ object a2 in Articles { headline "two" section "world" }
                 // The FrontPage expansion, not the roots listing.
                 assert!(buf.contains("Story"), "{buf}");
                 assert!(!buf.contains("Site roots"), "{buf}");
-                let _ = fetch(addr, "/quit");
             });
-            server.serve(None).unwrap();
-            client.join().unwrap();
         });
     }
 
@@ -537,9 +544,8 @@ object a2 in Articles { headline "two" section "world" }
                 ..ServerConfig::default()
             };
             let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
 
-            let client = std::thread::spawn(move || {
+            serve_client(&server, move |addr| {
                 // Head larger than the cap.
                 let mut s = TcpStream::connect(addr).unwrap();
                 s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -564,11 +570,7 @@ object a2 in Articles { headline "two" section "world" }
                 let mut buf = String::new();
                 s.read_to_string(&mut buf).unwrap();
                 assert!(buf.contains("405"), "{mode:?}: {buf}");
-
-                let _ = fetch(addr, "/quit");
             });
-            server.serve(None).unwrap();
-            client.join().unwrap();
             assert!(server.stats().errors >= 3, "{mode:?}");
         });
     }
@@ -586,16 +588,12 @@ object a2 in Articles { headline "two" section "world" }
             };
             let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
             assert!(!server.is_ready(), "not ready before serve()");
-            let addr = server.addr().unwrap();
-            let client = std::thread::spawn(move || {
+            serve_client(&server, move |addr| {
                 let resp = fetch(addr, "/healthz");
                 assert!(resp.starts_with("HTTP/1.1 200"), "{mode:?}: {resp}");
                 assert!(resp.contains("text/plain"), "{mode:?}: {resp}");
                 assert!(resp.ends_with("ok\n"), "{mode:?}: {resp}");
-                let _ = fetch(addr, "/quit");
             });
-            server.serve(None).unwrap();
-            client.join().unwrap();
             assert!(!server.is_ready(), "not ready after serve() returns");
         });
     }
@@ -603,6 +601,14 @@ object a2 in Articles { headline "two" section "world" }
     /// `/debug/traces` over a live traced server: the JSON form carries a
     /// trace for the page just fetched with spans from several layers, and
     /// the chrome form is a JSON array of complete events.
+    ///
+    /// The recorder is process-wide, so every server test running at the
+    /// same time records into it too: some of them fetch `/page/FrontPage`
+    /// as well (often as a cache hit, whose trace has no eval spans), and
+    /// their traffic can push this request's trace off the recent list
+    /// before it is read. A query string unique to this test and attempt
+    /// names the trace, and the page cache is cleared before each attempt
+    /// so that the page is evaluated and rendered afresh.
     #[test]
     fn debug_traces_exposes_request_spans() {
         strudel_obs::trace::enable(strudel_obs::trace::TraceConfig::default());
@@ -610,39 +616,48 @@ object a2 in Articles { headline "two" section "world" }
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
         let addr = server.addr().unwrap();
-        let client = std::thread::spawn(move || {
-            assert!(fetch(addr, "/page/FrontPage").contains("Story"));
-            let resp = fetch(addr, "/debug/traces");
-            let (_, body) = resp.split_once("\r\n\r\n").unwrap();
-            let v = strudel_obs::json::parse(body).expect("valid JSON");
-            let traces = v.get("traces").and_then(|t| t.as_array()).unwrap();
-            let ours = traces
-                .iter()
-                .find(|t| t.get("path").and_then(|p| p.as_str()) == Some("/page/FrontPage"))
-                .expect("a trace for the fetched page");
-            let spans = ours.get("spans").and_then(|s| s.as_array()).unwrap();
-            let cats: std::collections::BTreeSet<&str> = spans
-                .iter()
-                .filter_map(|s| s.get("cat").and_then(|c| c.as_str()))
-                .collect();
-            assert!(cats.contains("serve"), "{cats:?}");
-            assert!(cats.contains("cache"), "{cats:?}");
-            assert!(cats.contains("eval"), "{cats:?}");
-            assert!(cats.contains("render"), "{cats:?}");
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| {
+                let _quit = QuitOnDrop(addr);
+                let spans = (0..8)
+                    .find_map(|attempt| {
+                        server.site().cache_clear();
+                        let path = format!("/page/FrontPage?dt{attempt}");
+                        assert!(fetch(addr, &path).contains("Story"));
+                        let resp = fetch(addr, "/debug/traces");
+                        let (_, body) = resp.split_once("\r\n\r\n").unwrap();
+                        let v = strudel_obs::json::parse(body).expect("valid JSON");
+                        let traces = v.get("traces").and_then(|t| t.as_array()).unwrap();
+                        let ours = traces
+                            .iter()
+                            .find(|t| t.get("path").and_then(|p| p.as_str()) == Some(&path))?;
+                        ours.get("spans")
+                            .and_then(|s| s.as_array())
+                            .map(<[_]>::to_vec)
+                    })
+                    .expect("a trace for the fetched page");
+                let cats: std::collections::BTreeSet<&str> = spans
+                    .iter()
+                    .filter_map(|s| s.get("cat").and_then(|c| c.as_str()))
+                    .collect();
+                assert!(cats.contains("serve"), "{cats:?}");
+                assert!(cats.contains("cache"), "{cats:?}");
+                assert!(cats.contains("eval"), "{cats:?}");
+                assert!(cats.contains("render"), "{cats:?}");
 
-            let resp = fetch(addr, "/debug/traces?format=chrome");
-            let (_, body) = resp.split_once("\r\n\r\n").unwrap();
-            let v = strudel_obs::json::parse(body).expect("valid chrome JSON");
-            let events = v.as_array().expect("array of events");
-            assert!(!events.is_empty());
-            for e in events {
-                assert_eq!(e.get("ph").and_then(|p| p.as_str()), Some("X"));
-                assert!(e.get("ts").and_then(|t| t.as_f64()).is_some());
-            }
-            let _ = fetch(addr, "/quit");
+                let resp = fetch(addr, "/debug/traces?format=chrome");
+                let (_, body) = resp.split_once("\r\n\r\n").unwrap();
+                let v = strudel_obs::json::parse(body).expect("valid chrome JSON");
+                let events = v.as_array().expect("array of events");
+                assert!(!events.is_empty());
+                for e in events {
+                    assert_eq!(e.get("ph").and_then(|p| p.as_str()), Some("X"));
+                    assert!(e.get("ts").and_then(|t| t.as_f64()).is_some());
+                }
+            });
+            server.serve(None).unwrap();
+            client.join().unwrap();
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
     }
 
     /// The concurrency smoke test: many threads hammer the pool and every
@@ -667,9 +682,8 @@ object a2 in Articles { headline "two" section "world" }
             ..ServerConfig::default()
         };
         let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-        let addr = server.addr().unwrap();
 
-        let client = std::thread::spawn(move || {
+        serve_client(&server, move |addr| {
             let front = fetch(addr, "/page/FrontPage");
             let mut paths = vec!["/".to_string(), "/page/FrontPage".to_string()];
             for part in front.split("href=\"/page/Page/").skip(1) {
@@ -708,10 +722,7 @@ object a2 in Articles { headline "two" section "world" }
             }
             let stats = fetch(addr, "/stats");
             assert!(stats.contains("\"hits\""), "{stats}");
-            let _ = fetch(addr, "/quit");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
 
         let stats = server.stats();
         assert!(stats.requests >= 8 * 12, "{stats:?}");

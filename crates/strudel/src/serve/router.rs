@@ -1,39 +1,110 @@
-//! Routing: mapping a parsed request to `(status, content-type, body)`,
-//! plus the `/stats` JSON and `/metrics` Prometheus payloads.
+//! Routing: mapping a parsed request to a [`Reply`], plus the `/stats`
+//! JSON and `/metrics` Prometheus payloads.
 //!
 //! Both serving modes call [`Server::route_request`] from worker threads;
 //! everything here is `&self` over the shared [`DynamicSite`] and the
 //! lock-free metrics, so routing needs no coordination with the
-//! connection layer.
+//! connection layer. A page is rendered through [`DynamicSite::render`],
+//! which keeps the finished response in the page cache; the event loop
+//! answers later requests for it with [`Server::cached_page`] without
+//! routing at all.
 //!
 //! [`DynamicSite`]: strudel_site::DynamicSite
+//! [`DynamicSite::render`]: strudel_site::DynamicSite::render
 
-use super::http::{Method, Request, CT_HTML, CT_JSON, CT_PROM, CT_TEXT};
+use super::http::{self, Method, Request, Wire, CT_HTML, CT_JSON, CT_PROM, CT_TEXT};
 use super::url::{escape, parse_page_url, render_links};
 use super::Server;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use strudel_obs::{trace, PromText};
-use strudel_site::{OutLink, Target};
+use strudel_site::{OutLink, PageRef, Target};
+
+/// A routed answer, before connection framing.
+pub(super) enum Reply {
+    /// An answer assembled from parts.
+    Parts {
+        status: String,
+        content_type: &'static str,
+        body: String,
+    },
+    /// A page's keep-alive `200` response, as kept in the page cache.
+    Page(Arc<[u8]>),
+}
+
+impl Reply {
+    fn parts(status: &str, content_type: &'static str, body: impl Into<String>) -> Reply {
+        Reply::Parts {
+            status: status.into(),
+            content_type,
+            body: body.into(),
+        }
+    }
+
+    /// The numeric HTTP status.
+    pub(super) fn status_code(&self) -> u64 {
+        match self {
+            Reply::Parts { status, .. } => status
+                .split(' ')
+                .next()
+                .and_then(|s| s.parse::<u64>().ok())
+                .unwrap_or(0),
+            Reply::Page(_) => 200,
+        }
+    }
+
+    /// Whether the answer counts as a 4xx/5xx.
+    pub(super) fn is_error(&self) -> bool {
+        !(200..300).contains(&self.status_code())
+    }
+
+    /// Frames the answer for one request.
+    pub(super) fn encode(&self, keep_alive: bool, head_only: bool) -> Wire {
+        match self {
+            Reply::Parts {
+                status,
+                content_type,
+                body,
+            } => Wire::Owned(http::encode_response(
+                status,
+                content_type,
+                body.as_bytes(),
+                keep_alive,
+                head_only,
+            )),
+            Reply::Page(stored) => http::page_wire(stored, keep_alive, head_only),
+        }
+    }
+}
+
+/// Renders one click-time page into the response the page cache keeps:
+/// a keep-alive `200` whose body lists the page's links.
+fn render_page(page: &PageRef, links: &[OutLink]) -> Arc<[u8]> {
+    let mut rspan = trace::span("render.page", trace::Layer::Render);
+    let title = format!("{page} — {} links (click time)", links.len());
+    let body = render_links(&title, links);
+    if rspan.is_live() {
+        rspan.attr_u64("links", links.len() as u64);
+        rspan.attr_u64("bytes", body.len() as u64);
+    }
+    http::encode_shared("200 OK", CT_HTML, body.as_bytes())
+}
 
 impl Server<'_> {
     /// Answers one fully parsed request. `HEAD` routes exactly like `GET`
     /// (the connection layer drops the body when serializing); other
     /// methods are refused. `/quit` flips the shared shutdown flag.
-    pub(super) fn route_request(
-        &self,
-        req: &Request,
-        shutdown: &AtomicBool,
-    ) -> (String, &'static str, String) {
+    pub(super) fn route_request(&self, req: &Request, shutdown: &AtomicBool) -> Reply {
         match req.method {
-            Method::Other => (
-                "405 Method Not Allowed".into(),
+            Method::Other => Reply::parts(
+                "405 Method Not Allowed",
                 CT_HTML,
-                "<html><body>only GET and HEAD are supported</body></html>".into(),
+                "<html><body>only GET and HEAD are supported</body></html>",
             ),
             Method::Get | Method::Head => {
                 if req.path == "/quit" {
                     shutdown.store(true, Ordering::Release);
-                    ("200 OK".into(), CT_HTML, "bye".into())
+                    Reply::parts("200 OK", CT_HTML, "bye")
                 } else {
                     self.route(&req.path)
                 }
@@ -41,9 +112,20 @@ impl Server<'_> {
         }
     }
 
-    /// Computes the `(status, content-type, body)` answer for one path.
-    /// A query string (`?format=chrome`) is split off before matching.
-    fn route(&self, raw_path: &str) -> (String, &'static str, String) {
+    /// The response the page cache keeps for `req`'s page, if `req` is a
+    /// `GET` or `HEAD` of a page that has one (see
+    /// [`strudel_site::DynamicSite::rendered`]).
+    pub(super) fn cached_page(&self, req: &Request) -> Option<Arc<[u8]>> {
+        if req.method == Method::Other {
+            return None;
+        }
+        let path = req.path.split_once('?').map_or(&*req.path, |(p, _)| p);
+        self.site.rendered(&parse_page_url(path)?)
+    }
+
+    /// Computes the answer for one path. A query string
+    /// (`?format=chrome`) is split off before matching.
+    fn route(&self, raw_path: &str) -> Reply {
         let (path, query) = match raw_path.split_once('?') {
             Some((p, q)) => (p, q),
             None => (raw_path, ""),
@@ -57,58 +139,44 @@ impl Server<'_> {
                     target: Target::Page(r.clone()),
                 })
                 .collect();
-            return (
-                "200 OK".into(),
+            return Reply::parts(
+                "200 OK",
                 CT_HTML,
                 render_links("Site roots (precomputed)", &links),
             );
         }
         if path == "/stats" {
-            return ("200 OK".into(), CT_JSON, self.stats_json());
+            return Reply::parts("200 OK", CT_JSON, self.stats_json());
         }
         if path == "/metrics" {
-            return ("200 OK".into(), CT_PROM, self.metrics_text());
+            return Reply::parts("200 OK", CT_PROM, self.metrics_text());
         }
         if path == "/healthz" {
             return if self.is_ready() {
-                ("200 OK".into(), CT_TEXT, "ok\n".into())
+                Reply::parts("200 OK", CT_TEXT, "ok\n")
             } else {
-                (
-                    "503 Service Unavailable".into(),
-                    CT_TEXT,
-                    "starting\n".into(),
-                )
+                Reply::parts("503 Service Unavailable", CT_TEXT, "starting\n")
             };
         }
         if path == "/debug/traces" {
             return if query.split('&').any(|kv| kv == "format=chrome") {
-                ("200 OK".into(), CT_JSON, trace::traces_chrome())
+                Reply::parts("200 OK", CT_JSON, trace::traces_chrome())
             } else {
-                ("200 OK".into(), CT_JSON, trace::traces_json())
+                Reply::parts("200 OK", CT_JSON, trace::traces_json())
             };
         }
         if path.starts_with("/page/") {
             let Some(page) = parse_page_url(path) else {
-                return (
-                    "400 Bad Request".into(),
+                return Reply::parts(
+                    "400 Bad Request",
                     CT_HTML,
-                    "<html><body>bad page ref</body></html>".into(),
+                    "<html><body>bad page ref</body></html>",
                 );
             };
-            return match self.site.expand(&page) {
-                Ok(links) => {
-                    let mut rspan = trace::span("render.page", trace::Layer::Render);
-                    let title = format!("{page} — {} links (click time)", links.len());
-                    let body = render_links(&title, &links);
-                    if rspan.is_live() {
-                        rspan.attr_u64("links", links.len() as u64);
-                        rspan.attr_u64("bytes", body.len() as u64);
-                    }
-                    drop(rspan);
-                    ("200 OK".into(), CT_HTML, body)
-                }
-                Err(e) => (
-                    "500 Internal Server Error".into(),
+            return match self.site.render(&page, |links| render_page(&page, links)) {
+                Ok(stored) => Reply::Page(stored),
+                Err(e) => Reply::parts(
+                    "500 Internal Server Error",
                     CT_HTML,
                     format!(
                         "<html><body>query error: {}</body></html>",
@@ -117,10 +185,10 @@ impl Server<'_> {
                 ),
             };
         }
-        (
-            "404 Not Found".into(),
+        Reply::parts(
+            "404 Not Found",
             CT_HTML,
-            "<html><body>no such page</body></html>".into(),
+            "<html><body>no such page</body></html>",
         )
     }
 
@@ -131,6 +199,7 @@ impl Server<'_> {
     fn stats_json(&self) -> String {
         let s = self.metrics.snapshot();
         let d = self.site.stats();
+        let r = self.site.render_stats();
         let p = self.site.path_cache_stats();
         let q = self.site.plan_cache_stats();
         let st = strudel_graph::storage_stats();
@@ -143,7 +212,8 @@ impl Server<'_> {
                 "\"aborted\":{},\"keepalive_reuses\":{},\"admission_rejected\":{},",
                 "\"accept_errors\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidated\":{},",
-                "\"entries\":{},\"bytes\":{},\"expansions\":{},\"clause_queries\":{}}},",
+                "\"entries\":{},\"bytes\":{},\"expansions\":{},\"clause_queries\":{},",
+                "\"rendered_hits\":{},\"renders\":{}}},",
                 "\"path_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},",
                 "\"storage\":{{\"page_reads\":{},\"page_writes\":{},",
@@ -183,6 +253,8 @@ impl Server<'_> {
             self.site.cache_bytes(),
             d.expansions,
             d.clause_queries,
+            r.rendered_hits,
+            r.renders,
             p.hits,
             p.misses,
             p.invalidations,
@@ -295,8 +367,22 @@ impl Server<'_> {
         );
         m.counter(
             "strudel_page_cache_hits_total",
-            "Click-time expansions answered from the page cache.",
+            "Clause results answered from the page cache (a rendered hit counts \
+             each of its page's clauses).",
             d.cache_hits,
+        );
+        let r = self.site.render_stats();
+        m.counter(
+            "strudel_page_cache_rendered_hits_total",
+            "Page requests answered on the event loop from a rendered \
+             response kept in the page cache.",
+            r.rendered_hits,
+        );
+        m.counter(
+            "strudel_page_renders_total",
+            "Pages rendered by a worker (each kept in the page cache while \
+             its entries stay unchanged).",
+            r.renders,
         );
         m.counter(
             "strudel_page_cache_misses_total",

@@ -141,7 +141,7 @@ fn linger_close(stream: &mut TcpStream) {
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str, head_only: bool) {
-    let bytes = http::encode_response(status, content_type, body, false, head_only);
+    let bytes = http::encode_response(status, content_type, body.as_bytes(), false, head_only);
     let _ = stream.write_all(&bytes);
 }
 
@@ -242,30 +242,20 @@ fn handle_connection(server: &Server<'_>, mut stream: TcpStream, shutdown: &Atom
     });
     let _enter = trace_ctx.as_ref().map(trace::enter);
     let mut hspan = trace::span("serve.handle", trace::Layer::Serve);
-    let (status, content_type, body) = server.route_request(&req, shutdown);
-    let is_error = !status.starts_with('2');
+    let reply = server.route_request(&req, shutdown);
+    let bytes = reply.encode(false, req.method == Method::Head);
     if hspan.is_live() {
-        let code = status
-            .split(' ')
-            .next()
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0);
+        let code = reply.status_code();
         hspan.attr_u64("status", code);
-        hspan.attr_u64("bytes", body.len() as u64);
+        hspan.attr_u64("bytes", bytes.len() as u64);
         if let Some(r) = root.as_mut() {
             r.attr_u64("status", code);
         }
     }
     drop(hspan);
     let write_start = if root.is_some() { trace::now_ns() } else { 0 };
-    respond(
-        &mut stream,
-        &status,
-        content_type,
-        &body,
-        req.method == Method::Head,
-    );
-    server.metrics.record(start.elapsed(), is_error);
+    let _ = stream.write_all(&bytes);
+    server.metrics.record(start.elapsed(), reply.is_error());
     drop(_enter);
     if let Some(r) = root.take() {
         let ctx = r.ctx();
@@ -275,7 +265,7 @@ fn handle_connection(server: &Server<'_>, mut stream: TcpStream, shutdown: &Atom
             trace::Layer::Serve,
             write_start,
             trace::now_ns(),
-            &[("bytes", trace::AttrValue::U64(body.len() as u64))],
+            &[("bytes", trace::AttrValue::U64(bytes.len() as u64))],
         );
         r.finish();
     }

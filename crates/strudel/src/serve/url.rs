@@ -100,6 +100,12 @@ pub(crate) fn urldecode(s: &str) -> Option<String> {
 /// safe inside attribute values too.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, HTML-escaped as by [`escape`].
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -110,22 +116,42 @@ pub(crate) fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
+/// A `fmt::Write` sink that HTML-escapes into a `String`, so displayed
+/// values are escaped without an intermediate string.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// Renders a page's links as an HTML table under `title`.
 pub(crate) fn render_links(title: &str, links: &[OutLink]) -> String {
-    let mut html = format!("<html><body><h1>{}</h1><table>", escape(title));
+    use std::fmt::Write as _;
+    let mut html = String::with_capacity(128 + 128 * links.len());
+    html.push_str("<html><body><h1>");
+    escape_into(&mut html, title);
+    html.push_str("</h1><table>");
     for l in links {
-        let target = match &l.target {
+        html.push_str("<tr><td><b>");
+        escape_into(&mut html, &l.label);
+        html.push_str("</b></td><td>");
+        let _ = match &l.target {
             Target::Page(p) => {
-                format!("<a href=\"{}\">{}</a>", page_url(p), escape(&p.to_string()))
+                html.push_str("<a href=\"");
+                html.push_str(&page_url(p));
+                html.push_str("\">");
+                let written = write!(Escaped(&mut html), "{p}");
+                html.push_str("</a>");
+                written
             }
-            Target::Value(v) => escape(&v.to_string()),
+            Target::Value(v) => write!(Escaped(&mut html), "{v}"),
         };
-        html.push_str(&format!(
-            "<tr><td><b>{}</b></td><td>{target}</td></tr>",
-            escape(&l.label)
-        ));
+        html.push_str("</td></tr>");
     }
     html.push_str("</table><p><a href=\"/\">roots</a></p></body></html>");
     html
@@ -134,6 +160,40 @@ pub(crate) fn render_links(title: &str, links: &[OutLink]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The streaming renderer writes exactly what formatting each piece
+    /// separately writes.
+    #[test]
+    fn render_links_matches_piecewise_formatting() {
+        let links = vec![
+            OutLink {
+                label: "a&b".into(),
+                target: Target::Page(PageRef {
+                    skolem: "P".into(),
+                    args: vec![Value::str("x \"y\" <z>"), Value::Int(3)],
+                }),
+            },
+            OutLink {
+                label: "v".into(),
+                target: Target::Value(Value::str("<i>'&'</i>")),
+            },
+        ];
+        let mut expected = format!("<html><body><h1>{}</h1><table>", escape("t<1>"));
+        for l in &links {
+            let target = match &l.target {
+                Target::Page(p) => {
+                    format!("<a href=\"{}\">{}</a>", page_url(p), escape(&p.to_string()))
+                }
+                Target::Value(v) => escape(&v.to_string()),
+            };
+            expected.push_str(&format!(
+                "<tr><td><b>{}</b></td><td>{target}</td></tr>",
+                escape(&l.label)
+            ));
+        }
+        expected.push_str("</table><p><a href=\"/\">roots</a></p></body></html>");
+        assert_eq!(render_links("t<1>", &links), expected);
+    }
 
     #[test]
     fn value_encoding_roundtrips() {

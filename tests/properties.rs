@@ -1145,11 +1145,19 @@ proptest! {
     /// carried to the new graph serves exactly the cold answers. Entries
     /// that survive invalidation are really still valid.
     #[test]
+    ///
+    /// The same holds for rendered pages kept in the cache: interleaving
+    /// renders, lookups, notifications and evictions under a tiny cache,
+    /// a kept page is always byte-identical to a cold render of the data
+    /// the site reads.
     fn invalidate_then_expand_equals_cold_expand(
         rg in arb_graph(),
         insert in (0usize..8, 0usize..8, 0u8..3),
+        ops in proptest::collection::vec((0u8..4, 0usize..64), 0..32),
+        tiny_entries in 1usize..8,
     ) {
-        use strudel::site::{Delta, DynamicSite};
+        use strudel::site::{CacheConfig, Delta, DynamicSite, OutLink, PageRef};
+        use std::sync::Arc;
         let q = parse_query(
             r#"{ WHERE Nodes(x), x -> "a" -> y
                  CREATE P(x)
@@ -1193,6 +1201,59 @@ proptest! {
                 prop_assert_eq!(warm.expand(&page).unwrap(), cold.expand(&page).unwrap(), "{}", page);
             }
         }
+
+        let render = |page: &PageRef, links: &[OutLink]| -> Arc<[u8]> {
+            format!("{page} {links:?}").into_bytes().into()
+        };
+        let pages_of = |site: &DynamicSite<'_>| -> Vec<PageRef> {
+            ["P", "Q"].iter().flat_map(|sk| site.pages_of(sk).unwrap()).collect()
+        };
+        let tiny = CacheConfig { max_entries: tiny_entries, max_bytes: usize::MAX };
+        // Replays `ops` on `site`; every kept page must equal `truth`'s
+        // cold render. Op 3 notifies `delta` (the data itself is whatever
+        // `site` reads).
+        let run = |site: &DynamicSite<'_>, truth: &DynamicSite<'_>, pages: &[PageRef]| {
+            if pages.is_empty() {
+                return;
+            }
+            for &(op, i) in &ops {
+                let page = &pages[i % pages.len()];
+                match op {
+                    0 => {
+                        site.render(page, |links| render(page, links)).unwrap();
+                    }
+                    1 => {
+                        if let Some(kept) = site.rendered(page) {
+                            let fresh = render(page, &truth.expand(page).unwrap());
+                            prop_assert_eq!(&*kept, &*fresh, "{}", page);
+                        }
+                    }
+                    2 => {
+                        site.expand(page).unwrap();
+                    }
+                    _ => {
+                        site.invalidate(&delta);
+                    }
+                }
+            }
+        };
+        let old_tiny = DynamicSite::with_cache(&g_old, &q, EvalOptions::default(), tiny).unwrap();
+        let old_cold = DynamicSite::new(&g_old, &q, EvalOptions::default()).unwrap();
+        let old_pages = pages_of(&old_cold);
+        run(&old_tiny, &old_cold, &old_pages);
+        // Notify the insertion: whatever stays kept must already be the
+        // page the new data renders.
+        old_tiny.invalidate(&delta);
+        for page in &old_pages {
+            if let Some(kept) = old_tiny.rendered(page) {
+                let fresh = render(page, &cold.expand(page).unwrap());
+                prop_assert_eq!(&*kept, &*fresh, "{} after notify", page);
+            }
+        }
+        // Carry the cache to the new graph and keep going there.
+        let new_tiny = DynamicSite::with_cache(&g_new, &q, EvalOptions::default(), tiny).unwrap();
+        new_tiny.cache_restore(old_tiny.cache_snapshot());
+        run(&new_tiny, &cold, &pages_of(&cold));
     }
 }
 
@@ -1652,6 +1713,131 @@ proptest! {
         }
     }
 
+    /// Requests served over a live event-mode server trace as well-formed
+    /// trees too. A page cache hit answered on the event loop is exactly
+    /// root → serve.parse, serve.handle (`hit` = 1), serve.write, with no
+    /// cache/eval/render time; a miss's serve.handle is marked `hit` = 0.
+    /// Either way the per-layer self-times sum to at most the duration.
+    #[test]
+    fn served_request_traces_are_well_formed(
+        ops in proptest::collection::vec((0usize..8, any::<bool>()), 1..12),
+    ) {
+        use std::io::Write;
+        use strudel::obs::trace::{self, AttrValue, Layer};
+        use strudel::serve::{page_url, Server, ServerConfig};
+        use strudel::site::{DynamicSite, Target};
+        tracing_on();
+        let data = ddl::parse(
+            "object a1 in Articles { headline \"one\" }\n\
+             object a2 in Articles { headline \"two\" }\n\
+             object a3 in Articles { headline \"three\" }\n",
+        )
+        .unwrap();
+        let query = parse_query(
+            r#"CREATE FrontPage()
+               { WHERE Articles(a), a -> l -> v
+                 CREATE Page(a)
+                 LINK Page(a) -> l -> v, FrontPage() -> "Story" -> Page(a) }"#,
+        )
+        .unwrap();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let mut urls = Vec::new();
+        for root in site.roots() {
+            for link in site.expand(&root).unwrap() {
+                if let Target::Page(p) = link.target {
+                    urls.push(page_url(&p));
+                }
+            }
+            urls.push(page_url(&root));
+        }
+        let server = Server::bind_with(
+            site,
+            "127.0.0.1:0",
+            ServerConfig { threads: 2, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let addr = server.addr().unwrap();
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| server.serve(None).unwrap());
+            let quit = QuitOnDrop(addr);
+            {
+                let mut conn = std::net::TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+                // Earlier cases served the same paths: only traces begun
+                // after this point are this case's.
+                let mut last_id = trace::recent_traces()
+                    .iter()
+                    .map(|t| t.trace_id)
+                    .max()
+                    .unwrap_or(0);
+                for &(i, head_only) in &ops {
+                    let url = &urls[i % urls.len()];
+                    let hits_before = server.site().render_stats().rendered_hits;
+                    let method = if head_only { "HEAD" } else { "GET" };
+                    conn.write_all(format!("{method} {url} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+                        .unwrap();
+                    read_one_response(&mut conn, head_only);
+                    let hit = server.site().render_stats().rendered_hits > hits_before;
+                    // The loop finishes the trace right after the last byte
+                    // goes out: wait for its summary.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    let summary = loop {
+                        let found = trace::recent_traces()
+                            .into_iter()
+                            .filter(|t| t.path == *url && t.trace_id > last_id)
+                            .max_by_key(|t| t.trace_id);
+                        if let Some(t) = found {
+                            break t;
+                        }
+                        prop_assert!(std::time::Instant::now() < deadline, "no trace for {}", url);
+                        std::thread::yield_now();
+                    };
+                    last_id = summary.trace_id;
+                    let layer_sum: u64 = summary.layer_self_ns.iter().sum();
+                    prop_assert!(layer_sum <= summary.dur_ns, "{layer_sum} > {}", summary.dur_ns);
+                    if hit {
+                        prop_assert_eq!(summary.spans, 4, "{}", url);
+                        for layer in [Layer::Cache, Layer::Eval, Layer::Render] {
+                            prop_assert_eq!(summary.layer_self_ns[layer as usize], 0);
+                        }
+                    }
+                    let spans: Vec<_> = trace::snapshot_spans()
+                        .into_iter()
+                        .filter(|s| s.trace_id == summary.trace_id)
+                        .collect();
+                    if spans.len() < summary.spans as usize {
+                        continue; // ring wrap-around took some; shape unknowable
+                    }
+                    let forest = trace::assemble_tree(&spans);
+                    prop_assert_eq!(forest.len(), 1, "one root");
+                    let root = &forest[0];
+                    prop_assert_eq!(root.span.name.as_str(), "request");
+                    let mut names: Vec<&str> =
+                        root.children.iter().map(|c| c.span.name.as_str()).collect();
+                    names.sort_unstable();
+                    prop_assert_eq!(names, vec!["serve.handle", "serve.parse", "serve.write"]);
+                    let handle = root.children.iter().find(|c| c.span.name == "serve.handle").unwrap();
+                    let hit_attr = handle.span.attrs.iter().find(|(k, _)| k == "hit").map(|(_, v)| v.clone());
+                    prop_assert_eq!(hit_attr, Some(AttrValue::U64(u64::from(hit))));
+                    if hit {
+                        prop_assert!(handle.children.is_empty(), "a hit computes nothing");
+                    }
+                    fn nested(node: &trace::TreeNode) -> bool {
+                        node.self_ns <= node.span.dur_ns()
+                            && node.children.iter().all(|c| {
+                                c.span.start_ns >= node.span.start_ns
+                                    && c.span.end_ns <= node.span.end_ns
+                                    && nested(c)
+                            })
+                    }
+                    prop_assert!(nested(root), "{:?}", root.span);
+                }
+            }
+            drop(quit);
+            serving.join().unwrap();
+        });
+    }
+
     /// The Chrome trace-event export always round-trips as valid JSON:
     /// an array of complete (`ph: "X"`) events with monotonically
     /// non-decreasing timestamps and a duration on every event.
@@ -1681,6 +1867,49 @@ proptest! {
             let ts = e.get("ts").and_then(|t| t.as_f64()).expect("ts");
             prop_assert!(ts >= last_ts, "ts went backwards: {ts} < {last_ts}");
             last_ts = ts;
+        }
+    }
+}
+
+/// Reads one framed response off a keep-alive socket (head only for a
+/// `HEAD` answer). Requests here are strictly one at a time, so nothing
+/// follows the response.
+fn read_one_response(conn: &mut std::net::TcpStream, head_only: bool) {
+    use std::io::Read;
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&buf[..end]).into_owned();
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .expect("framed response")
+                .parse()
+                .unwrap();
+            let want = end + 4 + if head_only { 0 } else { len };
+            if buf.len() >= want {
+                assert_eq!(buf.len(), want, "nothing pipelined behind");
+                return;
+            }
+        }
+        let n = conn.read(&mut chunk).expect("read");
+        assert!(n > 0, "eof mid response");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Sends `/quit` when dropped, so a failing client still stops the server
+/// it talks to and the test fails instead of hanging.
+struct QuitOnDrop(std::net::SocketAddr);
+
+impl Drop for QuitOnDrop {
+    fn drop(&mut self) {
+        use std::io::{Read, Write};
+        if let Ok(mut s) = std::net::TcpStream::connect(self.0) {
+            let _ = s.set_read_timeout(Some(std::time::Duration::from_secs(10)));
+            let _ = s.write_all(b"GET /quit HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+            let _ = s.read_to_end(&mut Vec::new());
         }
     }
 }

@@ -1,13 +1,17 @@
 //! Regression tests for the event-driven serving tier: keep-alive reuse,
 //! pipelining order, connection-layer bugfixes (slow-loris deadline, HEAD
 //! answers, zero-byte aborts, admission control), in both serving modes
-//! where the behavior is mode-independent.
+//! where the behavior is mode-independent; and differential tests of the
+//! two request paths: page cache hits answered on the event loop must be
+//! byte-identical to what a worker renders and to a cold server's answer.
 
+use std::collections::{HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-use strudel::serve::{ServeMode, Server, ServerConfig};
-use strudel::site::DynamicSite;
+use strudel::graph::Value;
+use strudel::serve::{page_url, ServeMode, Server, ServerConfig};
+use strudel::site::{Delta, DynamicSite, PageRef, Target};
 use strudel::struql::EvalOptions;
 
 fn demo_site() -> (strudel::graph::Graph, strudel::struql::Query) {
@@ -39,28 +43,15 @@ fn fetch(addr: SocketAddr, path: &str) -> String {
     buf
 }
 
-/// Reads one `Content-Length`-framed response off a keep-alive socket.
-/// Leftover bytes (pipelined successors) stay in `carry`.
-fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (String, String) {
+/// Reads one response head off a keep-alive socket, leaving whatever
+/// follows it in `carry`.
+fn read_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> String {
     let mut chunk = [0u8; 8192];
     loop {
         if let Some(end) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
             let head = String::from_utf8_lossy(&carry[..end]).into_owned();
-            let len: usize = head
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .expect("framed response")
-                .parse()
-                .unwrap();
-            let need = end + 4 + len;
-            while carry.len() < need {
-                let n = stream.read(&mut chunk).expect("read body");
-                assert!(n > 0, "eof mid body");
-                carry.extend_from_slice(&chunk[..n]);
-            }
-            let body = String::from_utf8_lossy(&carry[end + 4..need]).into_owned();
-            carry.drain(..need);
-            return (head, body);
+            carry.drain(..end + 4);
+            return head;
         }
         let n = stream.read(&mut chunk).expect("read head");
         assert!(n > 0, "eof mid head");
@@ -68,9 +59,59 @@ fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (String, String
     }
 }
 
+/// Reads one `Content-Length`-framed response off a keep-alive socket.
+/// Leftover bytes (pipelined successors) stay in `carry`.
+fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (String, String) {
+    let head = read_head(stream, carry);
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("framed response")
+        .parse()
+        .unwrap();
+    let mut chunk = [0u8; 8192];
+    while carry.len() < len {
+        let n = stream.read(&mut chunk).expect("read body");
+        assert!(n > 0, "eof mid body");
+        carry.extend_from_slice(&chunk[..n]);
+    }
+    let body = String::from_utf8_lossy(&carry[..len]).into_owned();
+    carry.drain(..len);
+    (head, body)
+}
+
+/// Sends `/quit` when dropped, so a client that panics mid-test still
+/// stops the server and the test fails instead of hanging.
+struct QuitOnDrop(SocketAddr);
+
+impl Drop for QuitOnDrop {
+    fn drop(&mut self) {
+        if let Ok(mut s) = TcpStream::connect(self.0) {
+            let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
+            let _ = s.write_all(b"GET /quit HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+            let mut sink = Vec::new();
+            let _ = s.read_to_end(&mut sink);
+        }
+    }
+}
+
+/// Runs `client` against `server` while it serves; the server stops when
+/// the client returns or panics.
+fn serve_while<R>(server: &Server<'_>, client: impl FnOnce(SocketAddr) -> R) -> R {
+    let addr = server.addr().unwrap();
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve(None).unwrap());
+        let quit = QuitOnDrop(addr);
+        let out = client(addr);
+        drop(quit);
+        serving.join().unwrap();
+        out
+    })
+}
+
 /// Binds a server with `config`, runs `client` against it, returns the
-/// server's final [`strudel::serve::ServeStats`]. The client must end with
-/// a `/quit` fetch (or the returned closure does it).
+/// server's final [`strudel::serve::ServeStats`]. The server is stopped
+/// with `/quit` once the client returns (or panics).
 fn with_server(
     config: ServerConfig,
     client: impl FnOnce(SocketAddr) + Send,
@@ -78,13 +119,7 @@ fn with_server(
     let (data, query) = demo_site();
     let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
     let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-    let addr = server.addr().unwrap();
-    std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(None).unwrap());
-        client(addr);
-        let _ = fetch(addr, "/quit");
-        serving.join().unwrap();
-    });
+    serve_while(&server, client);
     server.stats()
 }
 
@@ -318,5 +353,274 @@ fn zero_byte_connections_are_aborts_not_errors() {
         assert_eq!(stats.errors, 0, "{mode:?}: aborts are not errors {stats:?}");
         assert_eq!(stats.requests, 2, "{mode:?}: only `/` and `/quit` routed");
         assert_eq!(stats.accept_errors, 0, "{mode:?}: {stats:?}");
+    });
+}
+
+// ---- loop hits vs. worker renders vs. cold servers -------------------------
+
+/// A keep-alive client connection.
+struct Client {
+    stream: TcpStream,
+    carry: Vec<u8>,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        Client {
+            stream,
+            carry: Vec::new(),
+        }
+    }
+
+    /// One keep-alive `GET`; returns the whole response (head and body).
+    fn get(&mut self, path: &str) -> String {
+        self.stream
+            .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+            .unwrap();
+        let (head, body) = read_response(&mut self.stream, &mut self.carry);
+        format!("{head}\r\n\r\n{body}")
+    }
+
+    /// One keep-alive `HEAD`; returns the response head.
+    fn head(&mut self, path: &str) -> String {
+        self.stream
+            .write_all(format!("HEAD {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+            .unwrap();
+        read_head(&mut self.stream, &mut self.carry)
+    }
+}
+
+/// Every page reachable from the roots, breadth first, as URLs.
+fn reachable_urls(site: &DynamicSite<'_>) -> Vec<String> {
+    let mut seen: HashSet<PageRef> = site.roots().into_iter().collect();
+    let mut queue: VecDeque<PageRef> = site.roots().into_iter().collect();
+    let mut out = Vec::new();
+    while let Some(page) = queue.pop_front() {
+        for link in site.expand(&page).unwrap() {
+            if let Target::Page(t) = link.target {
+                if seen.insert(t.clone()) {
+                    queue.push_back(t);
+                }
+            }
+        }
+        out.push(page_url(&page));
+    }
+    out
+}
+
+fn event_config() -> ServerConfig {
+    ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    }
+}
+
+/// Each page's response from a server that has never seen a request.
+fn cold_responses(site: DynamicSite<'_>, urls: &[String]) -> Vec<String> {
+    let server = Server::bind_with(site, "127.0.0.1:0", event_config()).unwrap();
+    serve_while(&server, |addr| {
+        let mut c = Client::connect(addr);
+        urls.iter().map(|u| c.get(u)).collect()
+    })
+}
+
+/// For every reachable page: the response a worker renders, the one the
+/// event loop answers from the page cache on the next request, and a cold
+/// server's must be byte-identical, for keep-alive `GET`, keep-alive
+/// `HEAD` and `Connection: close`. Every page answer is either a loop hit
+/// or a worker render (the conservation law of the two paths).
+fn loop_hits_match_worker_and_cold(warm: DynamicSite<'_>, cold: DynamicSite<'_>) {
+    let urls = reachable_urls(&warm);
+    assert!(urls.len() > 1, "{urls:?}");
+    let cold = cold_responses(cold, &urls);
+    let server = Server::bind_with(warm, "127.0.0.1:0", event_config()).unwrap();
+    let n = urls.len() as u64;
+    serve_while(&server, |addr| {
+        let site = server.site();
+        let mut c = Client::connect(addr);
+        let r0 = site.render_stats();
+        let worker: Vec<String> = urls.iter().map(|u| c.get(u)).collect();
+        let r1 = site.render_stats();
+        assert_eq!(r1.renders - r0.renders, n, "first requests render");
+        assert_eq!(r1.rendered_hits, r0.rendered_hits);
+        let hits: Vec<String> = urls.iter().map(|u| c.get(u)).collect();
+        let r2 = site.render_stats();
+        assert_eq!(
+            r2.rendered_hits - r1.rendered_hits,
+            n,
+            "repeats are loop hits"
+        );
+        assert_eq!(r2.renders, r1.renders);
+        for (i, u) in urls.iter().enumerate() {
+            assert!(worker[i].starts_with("HTTP/1.1 200 OK\r\n"), "{u}");
+            assert_eq!(worker[i], hits[i], "{u}: loop hit vs worker render");
+            assert_eq!(worker[i], cold[i], "{u}: warm vs cold server");
+            let (get_head, body) = hits[i].split_once("\r\n\r\n").unwrap();
+            assert_eq!(c.head(u), get_head, "{u}: HEAD");
+            let closed = fetch(addr, u);
+            assert_eq!(closed.split_once("\r\n\r\n").unwrap().1, body, "{u}: close");
+            assert!(closed.contains("Connection: close\r\n"), "{u}");
+        }
+        let r3 = site.render_stats();
+        assert_eq!(
+            r3.rendered_hits - r2.rendered_hits,
+            2 * n,
+            "HEAD and close hit"
+        );
+        assert_eq!(r3.renders, r2.renders);
+        // Answered page requests = loop hits + worker renders.
+        assert_eq!(r3.rendered_hits + r3.renders, 4 * n);
+    });
+    let stats = server.stats();
+    assert_eq!(stats.errors, 0, "{stats:?}");
+}
+
+#[test]
+fn news_loop_hits_match_worker_renders_and_a_cold_server() {
+    let mut warm_sys = strudel::synth::news::system(300, 7, false).unwrap();
+    let mut cold_sys = strudel::synth::news::system(300, 7, false).unwrap();
+    let warm = warm_sys.dynamic_site().unwrap();
+    let cold = cold_sys.dynamic_site().unwrap();
+    loop_hits_match_worker_and_cold(warm, cold);
+}
+
+#[test]
+fn demo_loop_hits_match_worker_renders_and_a_cold_server() {
+    let (data, query) = demo_site();
+    let warm = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let cold = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    loop_hits_match_worker_and_cold(warm, cold);
+}
+
+/// A pipelined batch mixing loop hits, worker misses, a `HEAD` and a
+/// non-page path is answered in request order, each answer identical to
+/// its one-at-a-time reference.
+#[test]
+fn pipelined_hits_and_misses_answer_in_order() {
+    let mut sys = strudel::synth::news::system(60, 3, false).unwrap();
+    let mut cold_sys = strudel::synth::news::system(60, 3, false).unwrap();
+    let site = sys.dynamic_site().unwrap();
+    let urls: Vec<String> = reachable_urls(&site).into_iter().take(12).collect();
+    let reference = cold_responses(cold_sys.dynamic_site().unwrap(), &urls);
+    let server = Server::bind_with(site, "127.0.0.1:0", event_config()).unwrap();
+    serve_while(&server, |addr| {
+        let mut c = Client::connect(addr);
+        // Warm every other page: those become loop hits.
+        for u in urls.iter().step_by(2) {
+            c.get(u);
+        }
+        let r0 = server.site().render_stats();
+        let mut burst = String::new();
+        for u in &urls {
+            burst.push_str(&format!("GET {u} HTTP/1.1\r\nHost: x\r\n\r\n"));
+        }
+        burst.push_str(&format!("HEAD {} HTTP/1.1\r\nHost: x\r\n\r\n", urls[0]));
+        burst.push_str("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
+        burst.push_str(&format!("GET {} HTTP/1.1\r\nHost: x\r\n\r\n", urls[1]));
+        c.stream.write_all(burst.as_bytes()).unwrap();
+        for (u, exp) in urls.iter().zip(&reference) {
+            let (head, body) = read_response(&mut c.stream, &mut c.carry);
+            assert_eq!(&format!("{head}\r\n\r\n{body}"), exp, "{u}");
+        }
+        let head = read_head(&mut c.stream, &mut c.carry);
+        assert_eq!(head, reference[0].split_once("\r\n\r\n").unwrap().0);
+        let (head, _) = read_response(&mut c.stream, &mut c.carry);
+        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        let (head, body) = read_response(&mut c.stream, &mut c.carry);
+        assert_eq!(format!("{head}\r\n\r\n{body}"), reference[1]);
+        let r1 = server.site().render_stats();
+        let half = urls.len().div_ceil(2) as u64;
+        // Warmed pages, the HEAD and the page rendered mid-batch hit;
+        // the other half rendered once each.
+        assert_eq!(r1.rendered_hits - r0.rendered_hits, half + 2);
+        assert_eq!(r1.renders - r0.renders, urls.len() as u64 - half);
+
+        // A long run of pipelined hits is answered on the loop in one pass
+        // (written from another thread: the answers flow back meanwhile).
+        const ROUNDS: usize = 40;
+        let mut writer = c.stream.try_clone().unwrap();
+        let burst: String = (0..ROUNDS)
+            .flat_map(|_| urls.iter())
+            .map(|u| format!("GET {u} HTTP/1.1\r\nHost: x\r\n\r\n"))
+            .collect();
+        let sender = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+        for _ in 0..ROUNDS {
+            for (u, exp) in urls.iter().zip(&reference) {
+                let (head, body) = read_response(&mut c.stream, &mut c.carry);
+                assert_eq!(&format!("{head}\r\n\r\n{body}"), exp, "{u}");
+            }
+        }
+        sender.join().unwrap();
+        let r2 = server.site().render_stats();
+        assert_eq!(
+            r2.rendered_hits - r1.rendered_hits,
+            (ROUNDS * urls.len()) as u64
+        );
+        assert_eq!(r2.renders, r1.renders);
+    });
+}
+
+/// `Server::notify` with a delta touching an article: the next request
+/// for its page is a miss, re-rendered by a worker (to the same bytes: the
+/// data itself did not change), while every other article's page stays a
+/// loop hit.
+#[test]
+fn notify_turns_touched_pages_into_misses_and_keeps_the_rest() {
+    let mut sys = strudel::synth::news::system(60, 5, false).unwrap();
+    let data = sys.data_graph().unwrap();
+    let headline = data.sym("headline");
+    let articles: Vec<(strudel::graph::Oid, Value)> = data
+        .nodes()
+        .iter()
+        .filter_map(|&n| {
+            let v = data
+                .out_edges(n)
+                .into_iter()
+                .find(|(l, _)| *l == headline)?
+                .1;
+            Some((n, v))
+        })
+        .collect();
+    let article_url = |n: strudel::graph::Oid| {
+        page_url(&PageRef {
+            skolem: "ArticlePage".into(),
+            args: vec![Value::Node(n)],
+        })
+    };
+    let site = sys.dynamic_site().unwrap();
+    let server = Server::bind_with(site, "127.0.0.1:0", event_config()).unwrap();
+    serve_while(&server, |addr| {
+        let site = server.site();
+        let mut c = Client::connect(addr);
+        let before: Vec<String> = articles
+            .iter()
+            .map(|(n, _)| c.get(&article_url(*n)))
+            .collect();
+        let (touched, value) = articles[0].clone();
+        let dropped = server.notify(&Delta::EdgeRemoved {
+            from: touched,
+            label: headline,
+            to: value,
+        });
+        assert!(dropped > 0);
+        let r0 = site.render_stats();
+        assert_eq!(c.get(&article_url(touched)), before[0]);
+        let r1 = site.render_stats();
+        assert_eq!(r1.renders - r0.renders, 1, "touched page re-rendered");
+        assert_eq!(r1.rendered_hits, r0.rendered_hits, "touched page missed");
+        for (i, (n, _)) in articles.iter().enumerate().skip(1) {
+            assert_eq!(c.get(&article_url(*n)), before[i]);
+        }
+        let r2 = site.render_stats();
+        assert_eq!(r2.renders, r1.renders, "untouched pages not re-rendered");
+        assert_eq!(
+            r2.rendered_hits - r1.rendered_hits,
+            articles.len() as u64 - 1,
+            "untouched pages stay loop hits"
+        );
     });
 }
