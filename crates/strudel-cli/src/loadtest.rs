@@ -36,7 +36,6 @@ struct Options {
     pipeline_depth: usize,
     seed: u64,
     out: String,
-    threaded: bool,
 }
 
 impl Default for Options {
@@ -50,7 +49,6 @@ impl Default for Options {
             pipeline_depth: 8,
             seed: 42,
             out: "BENCH_serve.json".to_string(),
-            threaded: false,
         }
     }
 }
@@ -76,13 +74,18 @@ fn parse_options(rest: &[String]) -> Result<Options, AnyError> {
                 }
             }
             "--duration-ms" => o.duration = Duration::from_millis(value()?.parse()?),
-            "--zipf" => o.zipf_s = value()?.parse()?,
+            "--zipf" => {
+                let v = value()?;
+                o.zipf_s = v.parse().map_err(|e| format!("--zipf {v}: {e}"))?;
+                if !o.zipf_s.is_finite() {
+                    return Err(format!("--zipf {v}: the exponent must be a finite number").into());
+                }
+            }
             "--threads" => o.threads = value()?.parse::<usize>()?.max(1),
             "--max-urls" => o.max_urls = value()?.parse::<usize>()?.max(1),
             "--pipeline-depth" => o.pipeline_depth = value()?.parse::<usize>()?.max(2),
             "--seed" => o.seed = value()?.parse()?,
             "--out" => o.out = value()?.clone(),
-            "--threaded" => o.threaded = true,
             s => return Err(format!("unknown argument {s}").into()),
         }
     }
@@ -105,11 +108,6 @@ pub fn run(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let dynamic = s.dynamic_site_with(strudel::site::CacheConfig::default())?;
     let config = strudel::serve::ServerConfig {
         threads: opts.threads,
-        mode: if opts.threaded {
-            strudel::serve::ServeMode::Threaded
-        } else {
-            strudel::serve::ServeMode::Event
-        },
         ..Default::default()
     };
     let server = strudel::serve::Server::bind_with(dynamic, "127.0.0.1:0", config)?;
@@ -133,21 +131,12 @@ fn drive(addr: SocketAddr, opts: &Options) -> Result<String, AnyError> {
     let urls = crawl(addr, opts.max_urls)?;
     eprintln!("discovered {} urls", urls.len());
 
-    // Pipelining is an event-mode feature: threaded mode answers one
-    // request per connection and closes, so the burst check only applies
-    // to the event loop.
     let depth = opts.pipeline_depth.min(urls.len().max(2));
-    let pipeline = if opts.threaded {
-        eprintln!("pipelining: skipped (threaded mode closes per request)");
-        "null".to_string()
-    } else {
-        let garbled = pipeline_check(addr, &urls, depth)?;
-        if garbled != 0 {
-            return Err(format!("{garbled} pipelined responses dropped or garbled").into());
-        }
-        eprintln!("pipelining: {depth} requests on one connection, in order, 0 garbled");
-        format!("{{\"depth\":{depth},\"garbled\":0}}")
-    };
+    let garbled = pipeline_check(addr, &urls, depth)?;
+    if garbled != 0 {
+        return Err(format!("{garbled} pipelined responses dropped or garbled").into());
+    }
+    eprintln!("pipelining: {depth} requests on one connection, in order, 0 garbled");
 
     let cum = zipf_cumulative(urls.len(), opts.zipf_s);
     let mut runs = Vec::new();
@@ -206,17 +195,16 @@ fn drive(addr: SocketAddr, opts: &Options) -> Result<String, AnyError> {
     );
     Ok(format!(
         concat!(
-            "{{\"benchmark\":\"serve_loadtest\",\"mode\":\"{}\",",
+            "{{\"benchmark\":\"serve_loadtest\",\"mode\":\"event\",",
             "\"zipf_s\":{},\"duration_ms\":{},\"urls\":{},",
-            "\"pipeline\":{},",
+            "\"pipeline\":{{\"depth\":{},\"garbled\":0}},",
             "\"layer_self_us\":{{{}}},",
             "\"runs\":[{}]}}\n"
         ),
-        if opts.threaded { "threaded" } else { "event" },
         opts.zipf_s,
         opts.duration.as_millis(),
         urls.len(),
-        pipeline,
+        depth,
         layers,
         runs.join(",")
     ))
@@ -532,4 +520,32 @@ fn server_counters(addr: SocketAddr) -> Result<Counters, AnyError> {
         keepalive_reuses: field("keepalive_reuses"),
         admission_rejected: field("admission_rejected"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn zipf(v: &str) -> Result<f64, String> {
+        parse_options(&["--zipf".to_string(), v.to_string()])
+            .map(|o| o.zipf_s)
+            .map_err(|e| e.to_string())
+    }
+
+    /// A NaN exponent would turn every cumulative weight into NaN and
+    /// silently send every request to the first URL.
+    #[test]
+    fn non_finite_zipf_exponents_are_rejected() {
+        for bad in ["NaN", "nan", "inf", "-inf"] {
+            let err = zipf(bad).expect_err(bad);
+            assert!(
+                err.contains("--zipf") && err.contains("finite"),
+                "{bad}: {err}"
+            );
+        }
+        assert!(zipf("x").unwrap_err().contains("--zipf x"));
+        assert_eq!(zipf("1.1"), Ok(1.1));
+        let cum = zipf_cumulative(4, zipf("0").unwrap());
+        assert_eq!(cum, [0.25, 0.5, 0.75, 1.0]);
+    }
 }

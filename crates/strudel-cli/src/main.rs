@@ -10,7 +10,7 @@
 //! strudel-cli query   <data.(ddl|bin|pdb)> <q.struql> [--profile [--json]]
 //!                                                 run an ad-hoc query, print DDL
 //! strudel-cli serve   <site.spec> [addr]          click-time evaluation over HTTP
-//!     [--threads N] [--cache-entries N] [--cache-bytes N] [--threaded] [--data FILE]
+//!     [--threads N] [--cache-entries N] [--cache-bytes N] [--data FILE]
 //!     [--page-cache N] [--group-commit-window MS]
 //!     [--trace-sample-rate F] [--trace-slow-ms N]
 //! strudel-cli trace   <http://host:port/page/...>  fetch a page from a traced
@@ -19,7 +19,7 @@
 //!                                                  tree with per-layer self-times
 //! strudel-cli loadtest <site.spec>                zipfian load against the server
 //!     [--conns A,B] [--duration-ms N] [--zipf S] [--threads N] [--max-urls N]
-//!     [--pipeline-depth N] [--seed N] [--out FILE] [--threaded]
+//!     [--pipeline-depth N] [--seed N] [--out FILE]
 //! strudel-cli store   import <data.(ddl|bin)> <store.pdb>   seed a paged store
 //! strudel-cli store   info <store.pdb>            revision, pages, WAL, contents
 //! strudel-cli store   compact <store.pdb>         checkpoint + rewrite minimal
@@ -75,7 +75,7 @@ fn main() -> ExitCode {
         Some("store") if args.len() >= 2 => cmd_store(&args[1], &args[2..]),
         Some("demo") if args.len() == 2 => cmd_demo(Path::new(&args[1])),
         _ => {
-            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE] [--page-cache N]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N] [--threaded]\n                       [--data FILE] [--page-cache N] [--group-commit-window MS]\n                       [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli loadtest <site.spec> [--conns A,B] [--duration-ms N] [--zipf S] [--threads N]\n                       [--max-urls N] [--pipeline-depth N] [--seed N] [--out FILE] [--threaded]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
+            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE] [--page-cache N]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--page-cache N] [--group-commit-window MS]\n                       [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli loadtest <site.spec> [--conns A,B] [--duration-ms N] [--zipf S] [--threads N]\n                       [--max-urls N] [--pipeline-depth N] [--seed N] [--out FILE]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
             return ExitCode::from(2);
         }
     };
@@ -409,7 +409,6 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
             "--threads" => config.threads = flag_value("--threads")?.max(1),
             "--cache-entries" => cache.max_entries = flag_value("--cache-entries")?,
             "--cache-bytes" => cache.max_bytes = flag_value("--cache-bytes")?,
-            "--threaded" => config.mode = strudel::serve::ServeMode::Threaded,
             "--data" => data = Some(it.next().ok_or("--data needs a file")?.clone()),
             "--page-cache" => tune.page_cache = Some(flag_value("--page-cache")?),
             "--group-commit-window" => {

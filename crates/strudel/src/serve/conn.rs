@@ -20,6 +20,10 @@
 //! is *not* re-armed by later reads — a client dribbling one byte per
 //! almost-timeout can no longer hold the connection open indefinitely
 //! (the slow-loris window the per-read timeout reset used to leave).
+//!
+//! While `Writing`, the deadline is a write timeout instead: armed when a
+//! flush first blocks and re-armed whenever a flush moves bytes, so only a
+//! peer that stops reading for the whole timeout is cut.
 
 use super::http::Wire;
 use std::io::{ErrorKind, Read, Write};
@@ -78,8 +82,9 @@ pub(crate) struct Conn {
     /// bytes instead of copying them.
     pub wbuf: Wire,
     pub wpos: usize,
-    /// Whole-request (or idle) deadline; `None` while the request is with
-    /// a worker or the response is draining.
+    /// Whole-request (or idle) deadline, or the write timeout while a
+    /// blocked response drains; `None` while the request is with a worker
+    /// or the response has not yet blocked.
     pub deadline: Option<Instant>,
     /// Responses completed on this connection.
     pub served: u64,

@@ -4,8 +4,8 @@
 //! The loop (this module) runs on the thread that called
 //! [`Server::serve`]; it accepts connections, pumps non-blocking reads
 //! and writes through each [`Conn`] state machine, and enforces
-//! whole-request deadlines and admission control. A complete request
-//! takes one of two paths:
+//! whole-request deadlines, the write timeout and admission control. A
+//! complete request takes one of two paths:
 //!
 //! * **Hit**: a `GET`/`HEAD` of a page whose rendered response the shared
 //!   [`DynamicSite`] cache still holds ([`DynamicSite::rendered`]) is
@@ -552,28 +552,41 @@ impl EventLoop<'_, '_> {
     /// pipelined request buffered, for the caller to parse.
     fn write_out(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().unwrap();
+        let before = conn.wpos;
         match conn.flush() {
             Flush::Done => self.finish_response(slot),
             // The kernel buffer is full: only now is writability worth
             // polling for (the common case flushes in one call with no
             // interest churn).
             Flush::Blocked => {
+                // Write timeout with socket-timeout semantics: the clock
+                // restarts whenever bytes move.
+                if conn.wpos > before || conn.deadline.is_none() {
+                    conn.deadline = Some(Instant::now() + self.server.config.request_timeout);
+                }
                 self.set_interest(slot, Event::writable(slot + 1));
                 false
             }
             Flush::Broken => {
-                // The request was processed even if the peer vanished
-                // before the bytes landed; keep the counters honest.
-                finish_trace(conn);
-                if !conn.rejected {
-                    self.server
-                        .metrics
-                        .record(conn.req_started.elapsed(), conn.pending_is_error);
-                }
-                self.close(slot);
+                self.abandon_write(slot);
                 false
             }
         }
+    }
+
+    /// Closes a connection whose response will never finish (the peer
+    /// vanished, or stopped reading past the write timeout). The request
+    /// was processed even if its bytes never landed; keep the counters
+    /// honest.
+    fn abandon_write(&mut self, slot: usize) {
+        let conn = self.conns[slot].as_mut().unwrap();
+        finish_trace(conn);
+        if !conn.rejected {
+            self.server
+                .metrics
+                .record(conn.req_started.elapsed(), conn.pending_is_error);
+        }
+        self.close(slot);
     }
 
     /// Accounts a fully written response and readies the connection for
@@ -634,7 +647,10 @@ impl EventLoop<'_, '_> {
                         "<html><body>request timeout</body></html>",
                     );
                 }
-                _ => {}
+                // The peer stopped reading: no write progress for the
+                // whole write timeout. Also ends a drain it would stall.
+                ConnState::Writing => self.abandon_write(slot),
+                ConnState::Dispatched => {}
             }
         }
     }
@@ -645,8 +661,9 @@ impl EventLoop<'_, '_> {
             self.accept_resume_at = None;
             self.unregister_listener();
         }
-        // In-flight requests (Dispatched/Writing) finish; waiting
-        // connections are cut loose.
+        // In-flight requests (Dispatched/Writing) finish, or meet the write
+        // timeout if the peer stopped reading; waiting connections are cut
+        // loose.
         for slot in 0..self.conns.len() {
             if let Some(conn) = self.conns[slot].as_ref() {
                 if matches!(conn.state, ConnState::Idle | ConnState::Reading) {

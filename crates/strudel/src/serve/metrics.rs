@@ -12,9 +12,7 @@ use strudel_obs::{Counter, Histogram};
 /// server's whole lifetime, and feeds `/metrics` directly.
 ///
 /// The connection-state gauges (`conns_*`) are instantaneous: the event
-/// loop publishes them after every tick; the threaded mode maintains only
-/// `conns_open` (its connections have no observable idle/reading/writing
-/// split — a worker owns the socket end to end).
+/// loop publishes them after every tick.
 #[derive(Default)]
 pub(crate) struct Metrics {
     pub requests: Counter,
@@ -102,10 +100,10 @@ pub struct ServeStats {
     pub keepalive_reuses: u64,
     /// Connections currently open (instantaneous).
     pub connections_open: u64,
-    /// Open connections waiting between requests (event mode).
+    /// Open connections waiting between requests.
     pub connections_idle: u64,
-    /// Open connections mid-request-head (event mode).
+    /// Open connections mid-request-head.
     pub connections_reading: u64,
-    /// Open connections with response bytes still to flush (event mode).
+    /// Open connections with response bytes still to flush.
     pub connections_writing: u64,
 }

@@ -7,27 +7,19 @@
 //! by [`DynamicSite::expand`] — only the roots are precomputed, and the
 //! evaluator's shared cache answers repeat clicks from any worker thread.
 //!
-//! The serving tier has two modes (see [`ServeMode`]):
-//!
-//! * **Event** (default): one readiness loop (`event`) owns every socket
-//!   through a vendored epoll stand-in, driving non-blocking connections
-//!   with HTTP/1.1 keep-alive, request pipelining, whole-request deadlines,
-//!   and admission control; page expansion runs on a scoped worker pool
-//!   over the shared [`DynamicSite`].
-//! * **Threaded**: the original blocking pool (`threaded`) — one worker
-//!   owns one connection for one request, then closes it.
-//!
-//! Both modes share the HTTP framing (`http`), the router (`router`), the
-//! URL scheme (`url`), and the metrics (`metrics`), so `/`, `/stats`,
-//! `/metrics`, `/page/…`, and `/quit` behave identically; the modes differ
-//! only in connection lifecycle.
+//! One readiness loop (`event`) owns every socket through a vendored epoll
+//! stand-in (a portable condvar fallback off x86_64 Linux), driving
+//! non-blocking connections with HTTP/1.1 keep-alive, request pipelining,
+//! whole-request deadlines, a write timeout for peers that stop reading,
+//! and admission control; page expansion runs on a scoped worker pool over
+//! the shared [`DynamicSite`]. The loop uses the HTTP framing (`http`), the
+//! router (`router`), the URL scheme (`url`), and the metrics (`metrics`).
 
 mod conn;
 mod event;
 mod http;
 mod metrics;
 mod router;
-mod threaded;
 mod url;
 
 pub use self::metrics::ServeStats;
@@ -39,7 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use strudel_site::{Delta, DynamicSite, PageRef};
 
-/// How the server drives its connections.
+/// How the server drives its connections. The event loop is the only
+/// mode; the type remains because existing callers (the benchmark harness)
+/// name it in their [`ServerConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeMode {
     /// Event-driven: one readiness loop multiplexes every socket with
@@ -47,9 +41,6 @@ pub enum ServeMode {
     /// pages.
     #[default]
     Event,
-    /// Thread-per-connection: a blocking worker reads one request, answers
-    /// it, and closes the connection (no keep-alive).
-    Threaded,
 }
 
 /// Server tuning knobs.
@@ -58,18 +49,20 @@ pub struct ServerConfig {
     /// Worker threads answering requests (minimum 1).
     pub threads: usize,
     /// Whole-request deadline: the time allowed from a request's first
-    /// byte until its head completes (and, in threaded mode, the socket
-    /// write timeout).
+    /// byte until its head completes. Also the write timeout: a connection
+    /// whose queued response makes no write progress for this long (the
+    /// peer stopped reading) is closed.
     pub request_timeout: Duration,
     /// How long an idle keep-alive connection may rest between requests
-    /// before the server closes it (event mode only).
+    /// before the server closes it.
     pub keepalive_timeout: Duration,
     /// Maximum accepted request-head size in bytes.
     pub max_request_bytes: usize,
     /// Admission control: connections beyond this many already open are
-    /// answered with a static 503 and closed (event mode only).
+    /// answered with a static 503 and closed.
     pub max_connections: usize,
-    /// Connection-handling mode.
+    /// Connection-handling mode; [`ServeMode::Event`] is the only one. Kept
+    /// so existing configurations that set it still compile.
     pub mode: ServeMode,
 }
 
@@ -161,15 +154,14 @@ impl<'g> Server<'g> {
     /// Serves until `max_conns` connections have been accepted (`None` =
     /// forever) or a request for `/quit` arrives (always honored, so tests
     /// and scripts can stop the server remotely). In-flight requests
-    /// finish before this returns. In event mode one accepted keep-alive
-    /// connection may carry many requests; in threaded mode a connection
-    /// is exactly one request.
+    /// finish before this returns, or are cut by the write timeout. One
+    /// accepted keep-alive connection may carry many requests. Every caller
+    /// passes `None`; the parameter remains only because the benchmark
+    /// harness's call names it, and goes when that call changes (see
+    /// ROADMAP.md).
     pub fn serve(&self, max_conns: Option<usize>) -> Result<()> {
         self.ready.store(true, Ordering::Release);
-        let result = match self.config.mode {
-            ServeMode::Event => event::run(self, max_conns),
-            ServeMode::Threaded => threaded::run(self, max_conns),
-        };
+        let result = event::run(self, max_conns);
         self.ready.store(false, Ordering::Release);
         result
     }
@@ -248,49 +240,36 @@ object a2 in Articles { headline "two" section "world" }
         handle.join().unwrap();
     }
 
-    /// Runs one test body against a server in each mode: the routing and
-    /// framing behavior must not depend on the connection layer.
-    fn in_both_modes(test: impl Fn(ServeMode)) {
-        test(ServeMode::Event);
-        test(ServeMode::Threaded);
-    }
-
     #[test]
     fn serves_roots_pages_and_errors_over_tcp() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
 
-            serve_client(&server, move |addr| {
-                let root = fetch(addr, "/");
-                assert!(root.contains("FrontPage"), "{root}");
-                let front = fetch(addr, "/page/FrontPage");
-                assert!(front.contains("Story"), "{front}");
-                assert!(front.contains("/page/Page/n"), "{front}");
-                // Follow a story link.
-                let href = front
-                    .split("href=\"/page/Page/")
-                    .nth(1)
-                    .map(|s| format!("/page/Page/{}", &s[..s.find('"').unwrap()]))
-                    .expect("a story href");
-                let story = fetch(addr, &href);
-                assert!(story.contains("headline"), "{story}");
-                assert!(fetch(addr, "/page/Bad/%%%").contains("400"));
-                assert!(fetch(addr, "/nope").contains("404"));
-                let stats = fetch(addr, "/stats");
-                assert!(stats.contains("\"requests\""), "{stats}");
-                assert!(stats.contains("\"p50\""), "{stats}");
-                assert!(stats.contains("\"hits\""), "{stats}");
-            });
-            let stats = server.stats();
-            assert!(stats.requests >= 7, "{mode:?}: {stats:?}");
-            assert!(stats.errors >= 2, "{mode:?}: {stats:?}"); // the 400 and the 404
+        serve_client(&server, move |addr| {
+            let root = fetch(addr, "/");
+            assert!(root.contains("FrontPage"), "{root}");
+            let front = fetch(addr, "/page/FrontPage");
+            assert!(front.contains("Story"), "{front}");
+            assert!(front.contains("/page/Page/n"), "{front}");
+            // Follow a story link.
+            let href = front
+                .split("href=\"/page/Page/")
+                .nth(1)
+                .map(|s| format!("/page/Page/{}", &s[..s.find('"').unwrap()]))
+                .expect("a story href");
+            let story = fetch(addr, &href);
+            assert!(story.contains("headline"), "{story}");
+            assert!(fetch(addr, "/page/Bad/%%%").contains("400"));
+            assert!(fetch(addr, "/nope").contains("404"));
+            let stats = fetch(addr, "/stats");
+            assert!(stats.contains("\"requests\""), "{stats}");
+            assert!(stats.contains("\"p50\""), "{stats}");
+            assert!(stats.contains("\"hits\""), "{stats}");
         });
+        let stats = server.stats();
+        assert!(stats.requests >= 7, "{stats:?}");
+        assert!(stats.errors >= 2, "{stats:?}"); // the 400 and the 404
     }
 
     /// `/metrics` over a live server: well-formed Prometheus text
@@ -502,100 +481,85 @@ object a2 in Articles { headline "two" section "world" }
     /// used to fall back to the `/` roots page).
     #[test]
     fn split_request_is_reassembled_before_routing() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
 
-            serve_client(&server, move |addr| {
-                let mut s = TcpStream::connect(addr).expect("connect");
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                // First flush stops mid-request-line: no terminator, and even
-                // the path is incomplete.
-                s.write_all(b"GET /page/Fro").unwrap();
-                s.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(80));
-                s.write_all(b"ntPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                    .unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
-                // The FrontPage expansion, not the roots listing.
-                assert!(buf.contains("Story"), "{buf}");
-                assert!(!buf.contains("Site roots"), "{buf}");
-            });
+        serve_client(&server, move |addr| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            // First flush stops mid-request-line: no terminator, and even
+            // the path is incomplete.
+            s.write_all(b"GET /page/Fro").unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(80));
+            s.write_all(b"ntPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
+            // The FrontPage expansion, not the roots listing.
+            assert!(buf.contains("Story"), "{buf}");
+            assert!(!buf.contains("Site roots"), "{buf}");
         });
     }
 
     #[test]
     fn oversized_and_silent_requests_are_rejected() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                threads: 2,
-                request_timeout: Duration::from_millis(150),
-                max_request_bytes: 512,
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let config = ServerConfig {
+            threads: 2,
+            request_timeout: Duration::from_millis(150),
+            max_request_bytes: 512,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
 
-            serve_client(&server, move |addr| {
-                // Head larger than the cap.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(1024));
-                s.write_all(huge.as_bytes()).unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("431"), "{mode:?}: {buf}");
+        serve_client(&server, move |addr| {
+            // Head larger than the cap.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(1024));
+            s.write_all(huge.as_bytes()).unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("431"), "{buf}");
 
-                // A client that connects and never speaks: per-request timeout.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("408"), "{mode:?}: {buf}");
+            // A client that connects and never speaks: per-request timeout.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("408"), "{buf}");
 
-                // Non-GET/HEAD methods are refused after full framing.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                s.write_all(b"DELETE / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                    .unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("405"), "{mode:?}: {buf}");
-            });
-            assert!(server.stats().errors >= 3, "{mode:?}");
+            // Non-GET/HEAD methods are refused after full framing.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"DELETE / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("405"), "{buf}");
         });
+        assert!(server.stats().errors >= 3);
     }
 
-    /// `/healthz` answers ready in both serving modes once the accept loop
-    /// is running, and the server reports not-ready before and after.
+    /// `/healthz` answers ready once the accept loop is running, and the
+    /// server reports not-ready before and after.
     #[test]
-    fn healthz_reports_readiness_in_both_modes() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            assert!(!server.is_ready(), "not ready before serve()");
-            serve_client(&server, move |addr| {
-                let resp = fetch(addr, "/healthz");
-                assert!(resp.starts_with("HTTP/1.1 200"), "{mode:?}: {resp}");
-                assert!(resp.contains("text/plain"), "{mode:?}: {resp}");
-                assert!(resp.ends_with("ok\n"), "{mode:?}: {resp}");
-            });
-            assert!(!server.is_ready(), "not ready after serve() returns");
+    fn healthz_reports_readiness() {
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
+        assert!(!server.is_ready(), "not ready before serve()");
+        serve_client(&server, move |addr| {
+            let resp = fetch(addr, "/healthz");
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+            assert!(resp.contains("text/plain"), "{resp}");
+            assert!(resp.ends_with("ok\n"), "{resp}");
         });
+        assert!(!server.is_ready(), "not ready after serve() returns");
     }
 
     /// `/debug/traces` over a live traced server: the JSON form carries a

@@ -1,16 +1,16 @@
 //! Regression tests for the event-driven serving tier: keep-alive reuse,
-//! pipelining order, connection-layer bugfixes (slow-loris deadline, HEAD
-//! answers, zero-byte aborts, admission control), in both serving modes
-//! where the behavior is mode-independent; and differential tests of the
-//! two request paths: page cache hits answered on the event loop must be
-//! byte-identical to what a worker renders and to a cold server's answer.
+//! pipelining order, connection-layer bugfixes (slow-loris deadline, slow
+//! readers, HEAD answers, zero-byte aborts, admission control); and
+//! differential tests of the two request paths: page cache hits answered on
+//! the event loop must be byte-identical to what a worker renders and to a
+//! cold server's answer.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use strudel::graph::Value;
-use strudel::serve::{page_url, ServeMode, Server, ServerConfig};
+use strudel::serve::{page_url, Server, ServerConfig};
 use strudel::site::{Delta, DynamicSite, PageRef, Target};
 use strudel::struql::EvalOptions;
 
@@ -121,11 +121,6 @@ fn with_server(
     let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
     serve_while(&server, client);
     server.stats()
-}
-
-fn both_modes(test: impl Fn(ServeMode)) {
-    test(ServeMode::Event);
-    test(ServeMode::Threaded);
 }
 
 #[test]
@@ -250,110 +245,214 @@ fn admission_control_rejects_with_503_when_full() {
 
 #[test]
 fn slow_loris_is_cut_by_the_whole_request_deadline() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            threads: 2,
-            request_timeout: Duration::from_millis(300),
-            mode,
-            ..ServerConfig::default()
-        };
-        with_server(config, |addr| {
-            let s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let started = Instant::now();
-            // One byte per 100ms: each read succeeds well inside any
-            // per-read timeout, but the head never completes. The old
-            // server reset its clock on every byte and dribbling kept a
-            // worker forever; the whole-request deadline cuts at ~300ms.
-            let writer = std::thread::spawn(move || {
-                let mut w = s;
-                for b in b"GET /page/FrontPage HT" {
-                    if w.write_all(&[*b]).is_err() {
-                        break; // server hung up: exactly what we want
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
+    let config = ServerConfig {
+        threads: 2,
+        request_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    with_server(config, |addr| {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let started = Instant::now();
+        // One byte per 100ms: each read succeeds well inside any
+        // per-read timeout, but the head never completes. The old
+        // server reset its clock on every byte and dribbling kept a
+        // worker forever; the whole-request deadline cuts at ~300ms.
+        let writer = std::thread::spawn(move || {
+            let mut w = s;
+            for b in b"GET /page/FrontPage HT" {
+                if w.write_all(&[*b]).is_err() {
+                    break; // server hung up: exactly what we want
                 }
-                let mut resp = String::new();
-                let _ = w.read_to_string(&mut resp);
-                resp
-            });
-            let resp = writer.join().unwrap();
-            let elapsed = started.elapsed();
-            assert!(resp.contains("408"), "{mode:?}: {resp}");
-            assert!(
-                elapsed < Duration::from_millis(1500),
-                "{mode:?}: dribbling held the connection {elapsed:?}"
-            );
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let mut resp = String::new();
+            let _ = w.read_to_string(&mut resp);
+            resp
         });
+        let resp = writer.join().unwrap();
+        let elapsed = started.elapsed();
+        assert!(resp.contains("408"), "{resp}");
+        assert!(
+            elapsed < Duration::from_millis(1500),
+            "dribbling held the connection {elapsed:?}"
+        );
     });
 }
 
 #[test]
 fn head_requests_get_get_headers_without_body() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        };
-        with_server(config, |addr| {
-            let get = fetch(addr, "/page/FrontPage");
-            let (get_head, get_body) = get.split_once("\r\n\r\n").unwrap();
-            let get_len: usize = get_head
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert_eq!(get_body.len(), get_len);
+    with_server(ServerConfig::default(), |addr| {
+        let get = fetch(addr, "/page/FrontPage");
+        let (get_head, get_body) = get.split_once("\r\n\r\n").unwrap();
+        let get_len: usize = get_head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert_eq!(get_body.len(), get_len);
 
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            s.write_all(b"HEAD /page/FrontPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            // The GET headers — status, type, and the GET body's length —
-            // with no body following (it was a 405 before this fix).
-            let (head, body) = resp.split_once("\r\n\r\n").unwrap();
-            assert!(head.starts_with("HTTP/1.1 200 OK"), "{mode:?}: {head}");
-            assert!(
-                head.contains(&format!("Content-Length: {get_len}")),
-                "{mode:?}: {head}"
-            );
-            assert!(body.is_empty(), "{mode:?}: HEAD must carry no body");
-        });
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"HEAD /page/FrontPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        // The GET headers — status, type, and the GET body's length —
+        // with no body following (it was a 405 before this fix).
+        let (head, body) = resp.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(
+            head.contains(&format!("Content-Length: {get_len}")),
+            "{head}"
+        );
+        assert!(body.is_empty(), "HEAD must carry no body");
     });
 }
 
 #[test]
 fn zero_byte_connections_are_aborts_not_errors() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            threads: 2,
-            mode,
-            ..ServerConfig::default()
-        };
-        let stats = with_server(config, |addr| {
-            // Warm request so the error counter has a baseline of zero
-            // alongside real traffic.
-            assert!(fetch(addr, "/").contains("200 OK"));
-            for _ in 0..3 {
-                // Connect and close without sending a byte: the port-scan
-                // shape. These used to be answered 400 and counted as
-                // errors, skewing the error rate.
-                let s = TcpStream::connect(addr).unwrap();
-                drop(s);
-            }
-            std::thread::sleep(Duration::from_millis(200));
-        });
-        assert!(
-            stats.connections_aborted >= 3,
-            "{mode:?}: {stats:?} should count the silent closes"
-        );
-        assert_eq!(stats.errors, 0, "{mode:?}: aborts are not errors {stats:?}");
-        assert_eq!(stats.requests, 2, "{mode:?}: only `/` and `/quit` routed");
-        assert_eq!(stats.accept_errors, 0, "{mode:?}: {stats:?}");
+    let config = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let stats = with_server(config, |addr| {
+        // Warm request so the error counter has a baseline of zero
+        // alongside real traffic.
+        assert!(fetch(addr, "/").contains("200 OK"));
+        for _ in 0..3 {
+            // Connect and close without sending a byte: the port-scan
+            // shape. These used to be answered 400 and counted as
+            // errors, skewing the error rate.
+            let s = TcpStream::connect(addr).unwrap();
+            drop(s);
+        }
+        std::thread::sleep(Duration::from_millis(200));
     });
+    assert!(
+        stats.connections_aborted >= 3,
+        "{stats:?} should count the silent closes"
+    );
+    assert_eq!(stats.errors, 0, "aborts are not errors {stats:?}");
+    assert_eq!(stats.requests, 2, "only `/` and `/quit` routed");
+    assert_eq!(stats.accept_errors, 0, "{stats:?}");
+}
+
+/// Polls `cond` every 5 ms for up to `limit`; returns how long it took to
+/// hold, or `None` if it never did.
+fn wait_until(limit: Duration, cond: impl Fn() -> bool) -> Option<Duration> {
+    let start = Instant::now();
+    while start.elapsed() < limit {
+        if cond() {
+            return Some(start.elapsed());
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    None
+}
+
+/// A peer that asks for an 8 MB page and stops reading is closed once the
+/// response makes no write progress for `request_timeout`, and `/quit`
+/// still stops the server while such a peer is connected. A reader whose
+/// pauses are shorter than the timeout gets the whole body, however long
+/// the transfer takes in all. Every wait is bounded, so a server without
+/// the write timeout fails this test instead of hanging it.
+#[test]
+fn slow_reader_is_cut_by_the_write_timeout() {
+    const BODY: usize = 8 << 20;
+    let timeout = Duration::from_millis(300);
+    let data = strudel::graph::ddl::parse(&format!(
+        "object a1 in Articles {{ headline \"{}\" }}",
+        "x".repeat(BODY)
+    ))
+    .unwrap();
+    let (_, query) = demo_site();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let url = reachable_urls(&site).pop().unwrap(); // the article page
+    let config = ServerConfig {
+        threads: 2,
+        request_timeout: timeout,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
+    let addr = server.addr().unwrap();
+    let request = format!("GET {url} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    let send = || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(request.as_bytes()).unwrap();
+        s
+    };
+    let blocked = || {
+        let writing = wait_until(Duration::from_secs(5), || {
+            server.stats().connections_writing == 1
+        });
+        assert!(writing.is_some(), "response never blocked");
+    };
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve(None).unwrap());
+        // Declared before the clients, so it drops after them: if an
+        // assertion fails, the stalled peers hang up before `/quit`.
+        let quit = QuitOnDrop(addr);
+
+        // 256 KiB at a time with a pause between. The server sees progress
+        // only when the kernel reports its socket writable again, once a
+        // third of its send buffer (at most 4 MiB by default on Linux) has
+        // drained; at this pace that takes about 130 ms, well inside the
+        // timeout, while the whole transfer takes several timeouts.
+        let reference = fetch(addr, &url);
+        assert!(reference.len() > BODY);
+        let mut reader = send();
+        let mut got = Vec::new();
+        let mut chunk = vec![0u8; 64 << 10];
+        'transfer: loop {
+            let mut gulp = 0;
+            while gulp < 256 << 10 {
+                let n = reader.read(&mut chunk).expect("slow reader cut");
+                if n == 0 {
+                    break 'transfer;
+                }
+                got.extend_from_slice(&chunk[..n]);
+                gulp += n;
+            }
+            std::thread::sleep(timeout / 12);
+        }
+        assert!(
+            got == reference.as_bytes(),
+            "slow reader got {} of {} bytes",
+            got.len(),
+            reference.len()
+        );
+
+        // A peer that never reads: cut within a small multiple of the
+        // timeout, and counted like a peer that vanished mid-response.
+        let mut stalled = send();
+        blocked();
+        let cut = wait_until(10 * timeout, || server.stats().connections_open == 0);
+        let stats = server.stats();
+        assert!(cut.is_some_and(|t| t < 5 * timeout), "{cut:?} {stats:?}");
+        assert_eq!(
+            (stats.connections_writing, stats.requests, stats.errors),
+            (0, 3, 0),
+            "{stats:?}"
+        );
+        let mut rest = Vec::new();
+        let _ = stalled.read_to_end(&mut rest); // EOF or reset, not a hang
+        assert!(rest.len() < BODY, "the whole response arrived");
+
+        // `/quit` with a stalled peer connected: serve() returns.
+        let _stalled = send();
+        blocked();
+        drop(quit);
+        let stopped = wait_until(10 * timeout, || !server.is_ready());
+        assert!(stopped.is_some(), "serve() kept running after /quit");
+        serving.join().unwrap();
+    });
+    let stats = server.stats();
+    assert_eq!(stats.connections_open, 0, "{stats:?}");
+    assert_eq!(stats.connections_writing, 0, "{stats:?}");
 }
 
 // ---- loop hits vs. worker renders vs. cold servers -------------------------
